@@ -310,8 +310,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
+def _im2col(xp: np.ndarray, W: int, L_out: int) -> np.ndarray:
+    """Columns [B, C*W, L_out] of padded xp[B,C,L_pad]: row c*W + w holds
+    xp[:, c, w:w + L_out], matching kernel.reshape(C_out, C*W)."""
+    B, C, _ = xp.shape
+    s0, s1, s2 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(B, C, W, L_out), strides=(s0, s1, s2, s2), writeable=False)
+    return windows.reshape(B, C * W, L_out)
+
+
 def conv1d(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
-    """Cross-correlation of x[B,C,L] with kernel[C_out,C,W], zero padding."""
+    """Cross-correlation of x[B,C,L] with kernel[C_out,C,W], zero padding.
+
+    Lowered to one matrix product per pass (im2col): the output is
+    kernel[C_out, C*W] @ columns[B, C*W, L_out]. The backward pass rebuilds
+    the columns from the padded input rather than keeping them alive."""
     if x.ndim != 3 or kernel.ndim != 3:
         raise ShapeMismatchError(
             f"conv1d expects x[B,C,L], kernel[C_out,C,W]; "
@@ -326,18 +340,18 @@ def conv1d(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
         raise ShapeMismatchError(
             f"conv1d kernel width {W} exceeds padded length {L + 2 * padding}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
-    out = np.zeros((B, C_out, L_out))
-    for w in range(W):
-        out += np.einsum("bcl,oc->bol", xp[:, :, w:w + L_out], kernel.data[:, :, w])
+    xp = np.zeros((B, C, L + 2 * padding))
+    xp[:, :, padding:padding + L] = x.data
+    k2 = kernel.data.reshape(C_out, C * W)
+    out = k2 @ _im2col(xp, W, L_out)
 
     def backward(g):
-        gk = np.empty_like(kernel.data)
+        cols = _im2col(xp, W, L_out)
+        gk = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(C_out, C, W)
+        gcols = (k2.T @ g).reshape(B, C, W, L_out)
         gxp = np.zeros_like(xp)
         for w in range(W):
-            gk[:, :, w] = np.einsum("bol,bcl->oc", g, xp[:, :, w:w + L_out])
-            gxp[:, :, w:w + L_out] += np.einsum("bol,oc->bcl", g,
-                                                kernel.data[:, :, w])
+            gxp[:, :, w:w + L_out] += gcols[:, :, w]
         gx = gxp[:, :, padding:padding + L] if padding else gxp
         return (gx, gk)
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import DomainError, ShapeMismatchError
 from .data import (DataError, load_csv, sample_views, segmentize,
                    segments_to_series, synth_generate, write_csv)
 from .evaluate import (EvalError, accuracy, auprc, davies_bouldin, extract,
@@ -318,7 +319,7 @@ def main(argv=None) -> int:
     except (DataError, EvalError, CheckpointError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except NumericError as e:
+    except (NumericError, DomainError, ShapeMismatchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

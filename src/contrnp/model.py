@@ -177,22 +177,6 @@ class ConvCnpModel:
         _, rep = self.encode(self.embed_context(context_x, context_y))
         return rep
 
-    def translate_check(self, context_x, context_y, target_x,
-                        delta_steps: int):
-        """Predictions from original inputs and from inputs shifted by an
-        integer number of grid steps; the equivariance test oracle."""
-        delta = delta_steps * self.grid_spacing
-        cx = np.asarray(context_x, dtype=np.float64)
-        tx = np.asarray(target_x, dtype=np.float64)
-        lo, hi = self.grid_x[0], self.grid_x[-1]
-        for arr in (cx + delta, tx + delta):
-            if arr.min() < lo or arr.max() > hi:
-                raise ValueError(
-                    f"shift of {delta_steps} grid steps pushes points off-grid")
-        pred = self.predict(cx, context_y, tx)
-        pred_shifted = self.predict(cx + delta, context_y, tx + delta)
-        return pred, pred_shifted
-
 
 # -- checkpoint container --------------------------------------------------------
 # magic "CNPR1" | u64 n_params | records | footer

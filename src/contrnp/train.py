@@ -145,7 +145,11 @@ def train_step(model: ConvCnpModel, batch, cfg: TrainConfig, opt: Adam):
                               ContrastiveConfig(tau=cfg.tau, mode=cfg.loss_mode))
     opt.zero_grad()
     breakdown.total.backward()
-    clip_gradients(model.params, cfg.clip_norm)
+    grad_norm = clip_gradients(model.params, cfg.clip_norm)
+    if not np.isfinite(grad_norm):
+        # clipping cannot catch this: nan > max_norm is False
+        raise NumericError(
+            f"non-finite gradient norm {grad_norm} before the update")
     opt.step()
     return breakdown
 

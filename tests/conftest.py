@@ -40,6 +40,23 @@ def check_grads(build_loss, params, tol=1e-4, h=1e-5):
             f"gradient mismatch: max rel err {rel_err(p.grad, g).max():.3g}"
 
 
+def translate_check(model, context_x, context_y, target_x, delta_steps: int):
+    """Predictions of `model` from the original inputs and from inputs
+    shifted by an integer number of grid steps; the translation-equivariance
+    oracle."""
+    delta = delta_steps * model.grid_spacing
+    cx = np.asarray(context_x, dtype=np.float64)
+    tx = np.asarray(target_x, dtype=np.float64)
+    lo, hi = model.grid_x[0], model.grid_x[-1]
+    for arr in (cx + delta, tx + delta):
+        if arr.min() < lo or arr.max() > hi:
+            raise ValueError(
+                f"shift of {delta_steps} grid steps pushes points off-grid")
+    pred = model.predict(cx, context_y, tx)
+    pred_shifted = model.predict(cx + delta, context_y, tx + delta)
+    return pred, pred_shifted
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

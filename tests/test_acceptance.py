@@ -23,7 +23,7 @@ from contrnp.model import (ConvCnpModel, ModelConfig, load_checkpoint,
                            save_checkpoint)
 from contrnp.train import TrainConfig, train
 
-from conftest import finite_diff_grads, rel_err
+from conftest import finite_diff_grads, rel_err, translate_check
 from test_evaluate import blobs, dbi_reference, silhouette_reference
 from test_losses import brute_force_contrastive, rep_tensors
 
@@ -273,7 +273,7 @@ def test_criterion_3_structural_invariants():
     perm_err = float(np.abs(r0 - r1).max())
 
     tx = np.linspace(0.35, 0.55, 9)
-    pred, pred_shifted = model.translate_check(cx, cy, tx, delta_steps=3)
+    pred, pred_shifted = translate_check(model, cx, cy, tx, delta_steps=3)
     trans_err = float(max(np.abs(pred.mu.data - pred_shifted.mu.data).max(),
                           np.abs(pred.sigma.data
                                  - pred_shifted.sigma.data).max()))

@@ -8,6 +8,28 @@ from contrnp.autodiff import DomainError, ShapeMismatchError, Tensor
 from conftest import check_grads, leaf
 
 
+def conv1d_reference(x, k, padding, g):
+    """Nested-loop zero-padded cross-correlation of x[B,C,L] with
+    k[C_out,C,W], and the gradients of sum(out * g) w.r.t. x and k."""
+    B, C, L = x.shape
+    C_out, _, W = k.shape
+    L_out = L + 2 * padding - W + 1
+    out = np.zeros((B, C_out, L_out))
+    gx = np.zeros_like(x)
+    gk = np.zeros_like(k)
+    for b in range(B):
+        for o in range(C_out):
+            for l in range(L_out):
+                for c in range(C):
+                    for w in range(W):
+                        i = l + w - padding
+                        if 0 <= i < L:
+                            out[b, o, l] += x[b, c, i] * k[o, c, w]
+                            gx[b, c, i] += g[b, o, l] * k[o, c, w]
+                            gk[o, c, w] += g[b, o, l] * x[b, c, i]
+    return out, gx, gk
+
+
 class TestForwardValues:
     def test_softplus_at_zero(self):
         assert ad.softplus(Tensor(0.0)).item() == pytest.approx(np.log(2.0))
@@ -161,6 +183,24 @@ class TestGradientChecks:
         k = leaf(rng, 4, 3, 3)
         check_grads(lambda: ad.sum_axis(ad.relu(ad.conv1d(x, k, padding))),
                     [x, k])
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("width,padding", [
+        (w, p) for w in (1, 3, 5, 7) for p in sorted({0, 1, (w - 1) // 2})])
+    def test_conv1d_matches_nested_loop_oracle(self, batch, width, padding):
+        r = np.random.default_rng(100 * batch + 10 * width + padding)
+        c_in, c_out, length = 3, 4, 9
+        x = leaf(r, batch, c_in, length)
+        k = leaf(r, c_out, c_in, width)
+        g = r.standard_normal((batch, c_out, length + 2 * padding - width + 1))
+        out = ad.conv1d(x, k, padding)
+        x.zero_grad()
+        k.zero_grad()
+        ad.sum_axis(out * Tensor(g)).backward()
+        want_out, want_gx, want_gk = conv1d_reference(x.data, k.data, padding, g)
+        for got, want in [(out.data, want_out), (x.grad, want_gx),
+                          (k.grad, want_gk)]:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_randomized_composite_graphs(self):
         # >= 100 random shape/seed combinations across composed ops

@@ -182,3 +182,25 @@ class TestReproducibility:
             assert rc == 0
             ckpts.append((out / "model.ckpt").read_bytes())
         assert ckpts[0] == ckpts[1]
+
+
+class TestNumericFailure:
+    def test_literal_mode_non_positive_ratio_exits_3(self, tmp_path, capsys):
+        # with d_r = 1 every representation is a scalar, so cosine
+        # similarities are +-1 and this seed draws a batch whose literal
+        # ratio is non-positive: log() raises autodiff.DomainError
+        data = tmp_path / "data.csv"
+        assert main(["synth", "--classes", "4", "--segments", "2",
+                     "--window", "64", "--noise", "0.05", "--seed", "0",
+                     "--out", str(data)]) == 0
+        cfg = tmp_path / "literal.cfg"
+        cfg.write_text(SMALL_CONFIG.replace("cnn_depth = 2", "cnn_depth = 1")
+                       .replace("cnn_width = 8", "cnn_width = 2")
+                       .replace("d_r = 8", "d_r = 1")
+                       .replace("seed = 1", "seed = 3")
+                       + "loss_mode = literal\n")
+        capsys.readouterr()
+        rc = main(["train", "--config", str(cfg), "--data", str(data),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 3
+        assert "error: log of non-positive input" in capsys.readouterr().err

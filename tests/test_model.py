@@ -4,7 +4,7 @@ import pytest
 from contrnp.model import (CheckpointError, ConvCnpModel, ModelConfig,
                            SIGMA_MIN, load_checkpoint, save_checkpoint)
 
-from conftest import check_grads
+from conftest import check_grads, translate_check
 
 
 SMALL = ModelConfig(grid_size=32, cnn_depth=2, cnn_width=8, d_r=6,
@@ -109,21 +109,22 @@ class TestDecode:
 class TestTranslationEquivariance:
     def test_zero_shift_identity(self, model, rng):
         x, y = sine_context(rng)
-        pred, shifted = model.translate_check(x, y, np.linspace(0.2, 0.8, 30), 0)
+        pred, shifted = translate_check(model, x, y,
+                                        np.linspace(0.2, 0.8, 30), 0)
         np.testing.assert_array_equal(pred.mu.data, shifted.mu.data)
 
     @pytest.mark.parametrize("delta", [-3, 3, 5])
     def test_grid_aligned_shift(self, model, rng, delta):
         x, y = sine_context(rng, lo=0.35, hi=0.65)
         tx = np.linspace(0.3, 0.7, 25)
-        pred, shifted = model.translate_check(x, y, tx, delta)
+        pred, shifted = translate_check(model, x, y, tx, delta)
         assert np.abs(pred.mu.data - shifted.mu.data).max() < 1e-6
         assert np.abs(pred.sigma.data - shifted.sigma.data).max() < 1e-6
 
     def test_off_grid_shift_rejected(self, model, rng):
         x, y = sine_context(rng)
         with pytest.raises(ValueError, match="off-grid"):
-            model.translate_check(x, y, np.linspace(0, 1, 10), 50)
+            translate_check(model, x, y, np.linspace(0, 1, 10), 50)
 
 
 class TestGradients:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from contrnp import autodiff as ad
 from contrnp.autodiff import Tensor
 from contrnp.data import make_batch, synth_generate
 from contrnp.losses import ContrastiveConfig, combined_loss
 from contrnp.model import ConvCnpModel
-from contrnp.train import Adam, TrainConfig, TrainLog, clip_gradients, train
+from contrnp.train import (Adam, NumericError, TrainConfig, TrainLog,
+                           clip_gradients, train, train_step)
 
 from conftest import finite_diff_grads, rel_err
 
@@ -117,6 +119,32 @@ class TestTrainLoop:
             assert lo - 1e-9 <= contr <= hi + 1e-9
             assert total == pytest.approx(cfg.lam * nll + contr, rel=1e-12)
             assert wall >= 0
+
+
+class TestNonFiniteGradients:
+    def test_nan_gradient_stops_before_update(self, rng):
+        cfg = TrainConfig(**SMALL_CFG, epochs=1)
+        model = ConvCnpModel(cfg.model_config(1), rng)
+        opt = Adam(model.params, lr=cfg.learning_rate)
+        batch = make_batch(small_dataset(rng)[:cfg.k_per_batch], cfg.m,
+                           cfg.a, cfg.b, cfg.n_context_range, rng)
+        encode = model.encode
+
+        def nan_grad_encode(embedding):
+            # sqrt(0) keeps the loss finite but its backward is 0.5 / 0,
+            # which turns into NaN on the way back to every parameter
+            grid_features, rep = encode(embedding)
+            rep.r = rep.r + ad.sqrt(rep.r * 0.0)
+            return grid_features, rep
+
+        model.encode = nan_grad_encode
+        before = {k: p.data.copy() for k, p in model.params.items()}
+        with (pytest.raises(NumericError, match="gradient norm"),
+              np.errstate(divide="ignore", invalid="ignore")):
+            train_step(model, batch, cfg, opt)
+        assert opt.t == 0
+        for k, p in model.params.items():
+            np.testing.assert_array_equal(p.data, before[k])
 
 
 class TestEndToEndGradients:
