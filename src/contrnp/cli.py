@@ -22,9 +22,8 @@ import numpy as np
 from .autodiff import DomainError, ShapeMismatchError
 from .data import (DataError, load_csv, sample_views, segmentize,
                    segments_to_series, synth_generate, write_csv)
-from .evaluate import (EvalError, accuracy, auprc, davies_bouldin, extract,
-                       silhouette, stratified_indices, train_probe,
-                       EncodedDataset)
+from .evaluate import (EvalError, davies_bouldin, evaluate_split, extract,
+                       silhouette)
 from .model import CheckpointError, load_checkpoint, save_checkpoint
 from .train import NumericError, TrainConfig, train
 
@@ -140,32 +139,27 @@ def cmd_train(args):
           f"checkpoint at {ckpt}")
 
 
-def _encode_dataset(ckpt_path, data_path, seed):
+def _load_run(ckpt_path, data_path):
+    """The checkpointed model, its training config and the data's segments."""
     model, cfg_dict, _ = load_checkpoint(ckpt_path)
     tc = TrainConfig(**cfg_dict["train"])
-    segments = _load_segments(data_path, tc)
+    return model, tc, _load_segments(data_path, tc)
+
+
+def _encode_dataset(ckpt_path, data_path, seed):
+    """Frozen representations of every labeled segment, and the RNG that
+    drew their views, for the evaluation to continue from."""
+    model, tc, segments = _load_run(ckpt_path, data_path)
     if any(s.label is None for s in segments):
         raise DataError(f"{data_path}: labels required for evaluation")
     rng = np.random.default_rng(seed)
     encoded = extract(model, segments, tc.m, tc.a, tc.b,
                       tc.n_context_range, rng)
-    return model, tc, segments, encoded, rng
-
-
-def evaluate_split(encoded, label_fraction, rng):
-    """Hold out 20% of segments for testing; probe on the labeled fraction
-    of the remainder."""
-    test_idx, train_idx = stratified_indices(encoded.labels, 0.2, rng)
-    train_set = EncodedDataset(encoded.reps[train_idx],
-                               encoded.labels[train_idx])
-    test_set = EncodedDataset(encoded.reps[test_idx], encoded.labels[test_idx])
-    probe = train_probe(train_set, label_fraction, rng)
-    return accuracy(probe, test_set), auprc(probe, test_set)
+    return encoded, rng
 
 
 def cmd_eval(args):
-    _, _, _, encoded, rng = _encode_dataset(args.checkpoint, args.data,
-                                            args.seed)
+    encoded, rng = _encode_dataset(args.checkpoint, args.data, args.seed)
     acc, ap = evaluate_split(encoded, args.label_fraction, rng)
     sil = silhouette(encoded)
     dbi = davies_bouldin(encoded)
@@ -190,8 +184,7 @@ def cmd_sweep_labels(args):
         fractions = [float(s) for s in args.fractions.split(",") if s]
     except ValueError as e:
         raise UsageError(f"bad --fractions: {e}")
-    _, _, _, encoded, _ = _encode_dataset(args.checkpoint, args.data,
-                                          args.seed)
+    encoded, _ = _encode_dataset(args.checkpoint, args.data, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -213,9 +206,7 @@ def cmd_sweep_labels(args):
 
 
 def cmd_forecast(args):
-    model, cfg_dict, _seed = load_checkpoint(args.checkpoint)
-    tc = TrainConfig(**cfg_dict["train"])
-    segments = _load_segments(args.data, tc)
+    model, tc, segments = _load_run(args.checkpoint, args.data)
     if not (0 <= args.segment_id < len(segments)):
         raise DataError(
             f"segment-id {args.segment_id} out of range [0, {len(segments)})")

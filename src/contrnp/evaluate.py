@@ -7,8 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor
 from .data import Segment, sample_views
 from .model import ConvCnpModel
+from .train import Adam
+
+HOLDOUT_FRACTION = 0.2
 
 
 class EvalError(ValueError):
@@ -93,35 +97,47 @@ def train_probe(encoded: EncodedDataset, label_fraction: float, rng,
     xv, yv = (x[va_idx] - feat_mu) / feat_sd, y[va_idx]
 
     d, nc = x.shape[1], len(classes)
-    w = np.zeros((d, nc))
-    b = np.zeros(nc)
-    mw, vw = np.zeros_like(w), np.zeros_like(w)
-    mb, vb = np.zeros_like(b), np.zeros_like(b)
+    w, b = Tensor(np.zeros((d, nc))), Tensor(np.zeros(nc))
+    opt = Adam({"w": w, "b": b}, lr=lr)
     onehot = np.eye(nc)[yt]
-    best = (-1.0, w.copy(), b.copy())
+    best = (-1.0, w.data.copy(), b.data.copy())
     for t in range(1, steps + 1):
-        z = xt @ w + b
+        z = xt @ w.data + b.data
         z -= z.max(axis=1, keepdims=True)
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
         g = (p - onehot) / len(yt)
-        gw = xt.T @ g
-        gb = g.sum(axis=0)
-        for g_, m_, v_ in ((gw, mw, vw), (gb, mb, vb)):
-            m_ *= 0.9
-            m_ += 0.1 * g_
-            v_ *= 0.999
-            v_ += 0.001 * g_ * g_
-        w -= lr * (mw / (1 - 0.9 ** t)) / (np.sqrt(vw / (1 - 0.999 ** t)) + 1e-8)
-        b -= lr * (mb / (1 - 0.9 ** t)) / (np.sqrt(vb / (1 - 0.999 ** t)) + 1e-8)
+        w.grad = xt.T @ g
+        b.grad = g.sum(axis=0)
+        opt.step()
         if t % 25 == 0 or t == steps:
-            acc = float(np.mean(np.argmax(xv @ w + b, axis=1) == yv))
+            acc = float(np.mean(np.argmax(xv @ w.data + b.data, axis=1) == yv))
             if acc > best[0]:
-                best = (acc, w.copy(), b.copy())
+                best = (acc, w.data.copy(), b.data.copy())
     w, b = best[1], best[2]
     w_raw = w / feat_sd[:, None]
     b_raw = b - feat_mu @ w_raw
     return ProbeModel(w_raw, b_raw, classes)
+
+
+def holdout_split(encoded: EncodedDataset,
+                  rng) -> tuple[EncodedDataset, EncodedDataset]:
+    """Stratified hold-out: (train set, test set) with HOLDOUT_FRACTION of
+    each class in the test set."""
+    test_idx, train_idx = stratified_indices(encoded.labels, HOLDOUT_FRACTION,
+                                             rng)
+    return (EncodedDataset(encoded.reps[train_idx], encoded.labels[train_idx]),
+            EncodedDataset(encoded.reps[test_idx], encoded.labels[test_idx]))
+
+
+def evaluate_split(encoded: EncodedDataset, label_fraction: float,
+                   rng) -> tuple[float, float]:
+    """The linear-evaluation protocol: hold out a stratified test set, probe
+    on the labeled fraction of the rest, and return the test (accuracy,
+    AUPRC). The split and the probe draw from `rng` in that order."""
+    train_set, test_set = holdout_split(encoded, rng)
+    probe = train_probe(train_set, label_fraction, rng)
+    return accuracy(probe, test_set), auprc(probe, test_set)
 
 
 def accuracy(probe: ProbeModel, encoded: EncodedDataset) -> float:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
-import warnings
 from dataclasses import dataclass, asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .autodiff import Tensor
 
 SIGMA_MIN = 1e-4
 DENSITY_EPS = 1e-6
-CHECKPOINT_MAGIC = b"CNPR1"
+CHECKPOINT_MAGIC = b"CNPR2"
 
 
 class CheckpointError(IOError):
@@ -31,7 +32,8 @@ class CheckpointError(IOError):
 
 
 @dataclass
-class ModelConfig:
+class ArchConfig:
+    """The architecture fields, shared by ModelConfig and TrainConfig."""
     grid_size: int = 64
     margin: float = 0.1
     d_r: int = 128
@@ -39,6 +41,10 @@ class ModelConfig:
     cnn_width: int = 64
     cnn_kernel: int = 5
     decoder_hidden: int = 64
+
+
+@dataclass
+class ModelConfig(ArchConfig):
     n_channels: int = 1
 
 
@@ -99,16 +105,6 @@ class ConvCnpModel:
                                        c.decoder_hidden)
         p["dec_sig_b"] = _uniform_init(rng, (c.n_channels,), c.decoder_hidden)
         self.params = p
-
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
-    def param_hash(self) -> str:
-        h = hashlib.sha256()
-        for name in sorted(self.params):
-            h.update(name.encode())
-            h.update(self.params[name].data.tobytes())
-        return h.hexdigest()
 
     # -- forward pieces -----------------------------------------------------
 
@@ -179,77 +175,67 @@ class ConvCnpModel:
 
 
 # -- checkpoint container --------------------------------------------------------
-# magic "CNPR1" | u64 n_params | records | footer
-# record: u64 name_len | name utf-8 | u64 rank | u64 dims... | f64 data (LE)
-# footer: 32-byte sha256 of config JSON | u64 seed | u64 json_len | config JSON
+# payload: magic "CNPR2" | u64 n_params | records | u64 seed | u64 json_len
+#          | config JSON
+# file:    payload | 32-byte sha256 of the payload
+# record:  u64 name_len | name utf-8 | u64 rank | u64 dims... | f64 data (LE)
 
 def save_checkpoint(model: ConvCnpModel, extra_config: dict, path,
                     seed: int = 0):
     cfg = {"model": asdict(model.config), **extra_config}
     blob = json.dumps(cfg, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<Q", len(model.params)))
-        for name in sorted(model.params):
-            t = model.params[name]
-            nb = name.encode()
-            f.write(struct.pack("<Q", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<Q", t.ndim))
-            for d in t.shape:
-                f.write(struct.pack("<Q", d))
-            f.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-        f.write(hashlib.sha256(blob).digest())
-        f.write(struct.pack("<Q", seed))
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
+    parts = [CHECKPOINT_MAGIC, struct.pack("<Q", len(model.params))]
+    for name in sorted(model.params):
+        t = model.params[name]
+        nb = name.encode()
+        parts += [struct.pack("<Q", len(nb)), nb,
+                  struct.pack(f"<Q{t.ndim}Q", t.ndim, *t.shape),
+                  np.ascontiguousarray(t.data, dtype="<f8").tobytes()]
+    parts += [struct.pack("<QQ", seed, len(blob)), blob]
+    payload = b"".join(parts)
+    Path(path).write_bytes(payload + hashlib.sha256(payload).digest())
 
 
-def _read_exact(f, n, what):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return buf
-
-
-def load_checkpoint(path, expect_config: ModelConfig | None = None
-                    ) -> tuple[ConvCnpModel, dict, int]:
+def load_checkpoint(path) -> tuple[ConvCnpModel, dict, int]:
     """Rebuild a model from a checkpoint; returns (model, config dict, seed).
 
-    With expect_config the parameters are loaded into a model of that
-    config instead: a differing config hash is a warning, a differing
-    parameter shape an error.
+    A truncated file, a payload that does not match its SHA-256, or bytes
+    after the hash are a CheckpointError.
     """
-    with open(path, "rb") as f:
-        if _read_exact(f, len(CHECKPOINT_MAGIC), "magic") != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a CNPR1 checkpoint")
-        (n_params,) = struct.unpack("<Q", _read_exact(f, 8, "param count"))
-        raw = {}
-        for _ in range(n_params):
-            (nlen,) = struct.unpack("<Q", _read_exact(f, 8, "name length"))
-            name = _read_exact(f, nlen, "name").decode()
-            (rank,) = struct.unpack("<Q", _read_exact(f, 8, "rank"))
-            dims = struct.unpack(
-                f"<{rank}Q", _read_exact(f, 8 * rank, f"dims of {name}"))
-            count = int(np.prod(dims)) if rank else 1
-            data = np.frombuffer(
-                _read_exact(f, 8 * count, f"data of {name}"), dtype="<f8")
-            raw[name] = data.reshape(dims).astype(np.float64)
-        stored_hash = _read_exact(f, 32, "config hash")
-        (seed,) = struct.unpack("<Q", _read_exact(f, 8, "seed"))
-        (jlen,) = struct.unpack("<Q", _read_exact(f, 8, "config length"))
-        blob = _read_exact(f, jlen, "config JSON")
-    if hashlib.sha256(blob).digest() != stored_hash:
-        warnings.warn(f"{path}: config hash mismatch; checkpoint config may "
-                      "not match the code that wrote it")
+    buf = Path(path).read_bytes()
+    pos = 0
+
+    def take(n, what):
+        nonlocal pos
+        if pos + n > len(buf):
+            raise CheckpointError(f"truncated checkpoint while reading {what}")
+        pos += n
+        return buf[pos - n:pos]
+
+    if take(len(CHECKPOINT_MAGIC), "magic") != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a CNPR2 checkpoint")
+    (n_params,) = struct.unpack("<Q", take(8, "param count"))
+    raw = {}
+    for _ in range(n_params):
+        (nlen,) = struct.unpack("<Q", take(8, "name length"))
+        # a corrupt name is caught by the hash below, before it is used
+        name = take(nlen, "name").decode("utf-8", "replace")
+        (rank,) = struct.unpack("<Q", take(8, "rank"))
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank, f"dims of {name}"))
+        data = take(8 * math.prod(dims), f"data of {name}")
+        raw[name] = np.frombuffer(data, dtype="<f8").reshape(dims)
+    seed, jlen = struct.unpack("<QQ", take(16, "seed and config length"))
+    blob = take(jlen, "config JSON")
+    payload_end = pos
+    if take(32, "hash") != hashlib.sha256(buf[:payload_end]).digest():
+        raise CheckpointError(f"{path}: SHA-256 mismatch; the checkpoint is "
+                              "corrupt")
+    if pos != len(buf):
+        raise CheckpointError(
+            f"{path}: trailing bytes after the hash ({len(buf) - pos})")
     cfg = json.loads(blob)
-    model_config = ModelConfig(**cfg["model"])
-    if expect_config is not None:
-        if expect_config != model_config:
-            warnings.warn(
-                f"{path}: checkpoint config differs from the expected config")
-        model_config = expect_config
-    model = ConvCnpModel(model_config, np.random.default_rng(seed))
+    model = ConvCnpModel(ModelConfig(**cfg["model"]),
+                         np.random.default_rng(seed))
     for name, arr in raw.items():
         if name not in model.params:
             raise CheckpointError(f"{path}: unknown parameter '{name}'")
@@ -257,7 +243,7 @@ def load_checkpoint(path, expect_config: ModelConfig | None = None
             raise CheckpointError(
                 f"{path}: shape mismatch for parameter '{name}': "
                 f"file {arr.shape} vs model {model.params[name].shape}")
-        model.params[name].data = arr
+        model.params[name].data = arr.astype(np.float64)
     missing = set(model.params) - set(raw)
     if missing:
         raise CheckpointError(f"{path}: missing parameters {sorted(missing)}")

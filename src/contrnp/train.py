@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from .autodiff import Tensor
 from .data import Segment, make_batch
 from .losses import ContrastiveConfig, combined_loss
-from .model import ConvCnpModel, ModelConfig
+from .model import ArchConfig, ConvCnpModel, ModelConfig, save_checkpoint
 
 
 class NumericError(RuntimeError):
@@ -19,7 +19,7 @@ class NumericError(RuntimeError):
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(ArchConfig):
     k_per_batch: int = 8
     m: int = 2
     tau: float = 0.5
@@ -29,13 +29,6 @@ class TrainConfig:
     b: float = 0.75
     n_context_min: int = 20
     n_context_max: int = 100
-    grid_size: int = 64
-    margin: float = 0.1
-    d_r: int = 128
-    cnn_depth: int = 6
-    cnn_width: int = 64
-    cnn_kernel: int = 5
-    decoder_hidden: int = 64
     optimizer: str = "adam"
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -56,13 +49,14 @@ class TrainConfig:
             raise ValueError("k_per_batch must be >= 2")
         if self.optimizer != "adam":
             raise ValueError(f"unknown optimizer '{self.optimizer}'")
+        if not self.tau > 0:
+            raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not self.lam >= 0:
+            raise ValueError(f"lam must be >= 0, got {self.lam}")
 
     def model_config(self, n_channels: int) -> ModelConfig:
-        return ModelConfig(grid_size=self.grid_size, margin=self.margin,
-                           d_r=self.d_r, cnn_depth=self.cnn_depth,
-                           cnn_width=self.cnn_width, cnn_kernel=self.cnn_kernel,
-                           decoder_hidden=self.decoder_hidden,
-                           n_channels=n_channels)
+        arch = {f.name: getattr(self, f.name) for f in fields(ArchConfig)}
+        return ModelConfig(**arch, n_channels=n_channels)
 
     @property
     def n_context_range(self):
@@ -188,7 +182,6 @@ def train(segments: list[Segment], cfg: TrainConfig,
                        (time.perf_counter() - t0) * 1000.0)
             if (checkpoint_dir is not None and cfg.checkpoint_every > 0
                     and step % cfg.checkpoint_every == 0):
-                from .model import save_checkpoint
                 save_checkpoint(model, {"train": asdict(cfg)},
                                 f"{checkpoint_dir}/step{step:06d}.ckpt",
                                 seed=cfg.seed)

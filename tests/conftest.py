@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,25 @@ def translate_check(model, context_x, context_y, target_x, delta_steps: int):
     pred = model.predict(cx, context_y, tx)
     pred_shifted = model.predict(cx + delta, context_y, tx + delta)
     return pred, pred_shifted
+
+
+def param_hash(model) -> str:
+    """SHA-256 over the model's parameter names and values."""
+    h = hashlib.sha256()
+    for name in sorted(model.params):
+        h.update(name.encode())
+        h.update(model.params[name].data.tobytes())
+    return h.hexdigest()
+
+
+def flip_byte_in(path, array):
+    """Invert one byte of `array`'s values where the file at `path` stores
+    them."""
+    data = bytearray(path.read_bytes())
+    at = data.find(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    assert at >= 0, "array not found in file"
+    data[at + 3] ^= 0xFF
+    path.write_bytes(bytes(data))
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 """Acceptance suite: nine end-to-end criteria, one printed PASS/FAIL line
 each.  Training-based criteria share session-scoped fixtures; the whole
-module runs in roughly 15 minutes on a desktop CPU.
+module runs in about 8 minutes on a 2-core CPU.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines interleaved with pytest's own output.
@@ -15,8 +15,7 @@ from contrnp import autodiff as ad
 from contrnp.autodiff import Tensor
 from contrnp.data import Segment, make_batch, sample_views, synth_generate
 from contrnp.evaluate import (EncodedDataset, accuracy, davies_bouldin,
-                              extract, silhouette, stratified_indices,
-                              train_probe)
+                              extract, holdout_split, silhouette, train_probe)
 from contrnp.losses import (ContrastiveConfig, combined_loss,
                             contrastive_loss, gaussian_nll)
 from contrnp.model import (ConvCnpModel, ModelConfig, load_checkpoint,
@@ -77,10 +76,8 @@ def forecast_rmse(model, segments, n_context=40, n_segments=10, seed=123):
 def encoded_split(model, segments, seed_extract=7, seed_split=11):
     enc = extract(model, segments, EVAL_M, 0.25, 0.75, EVAL_CTX,
                   np.random.default_rng(seed_extract))
-    te_i, tr_i = stratified_indices(enc.labels, 0.2,
-                                    np.random.default_rng(seed_split))
-    return (EncodedDataset(enc.reps[tr_i], enc.labels[tr_i]),
-            EncodedDataset(enc.reps[te_i], enc.labels[te_i]), enc)
+    tr, te = holdout_split(enc, np.random.default_rng(seed_split))
+    return tr, te, enc
 
 
 def probe_accuracy(model, segments, label_fraction=0.8, seed_probe=11):

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from contrnp.cli import main, parse_config_file
+from contrnp.model import load_checkpoint
+
+from conftest import flip_byte_in
 
 
 SMALL_CONFIG = """
@@ -106,6 +109,18 @@ class TestTrain:
                    str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("tau = 0", "tau must be > 0"), ("lam = -5", "lam must be >= 0")],
+        ids=["tau_zero", "lam_negative"])
+    def test_bad_loss_weight_is_usage_error(self, tmp_path, dataset, config,
+                                            capsys, line, message):
+        config.write_text(SMALL_CONFIG + line + "\n")
+        rc = main(["train", "--config", str(config), "--data", str(dataset),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert f"error: invalid configuration: {message}" in \
+            capsys.readouterr().err
+
     def test_input_not_mutated(self, tmp_path, dataset, config):
         before = dataset.read_bytes()
         main(["train", "--config", str(config), "--data", str(dataset),
@@ -133,6 +148,16 @@ class TestEval:
                   "--data", str(dataset), "--seed", "3", "--out", str(out)])
             outs.append((out / "metrics.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_corrupt_checkpoint_exits_2(self, tmp_path, dataset, trained,
+                                        capsys):
+        ckpt = trained / "model.ckpt"
+        model, _, _ = load_checkpoint(ckpt)
+        flip_byte_in(ckpt, model.params["conv0_w"].data)
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 2
+        assert "SHA-256 mismatch" in capsys.readouterr().err
 
     def test_missing_checkpoint(self, tmp_path, dataset):
         rc = main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"),

@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from contrnp.data import synth_generate
 from contrnp.evaluate import (EncodedDataset, EvalError, ProbeModel, accuracy,
-                              auprc, davies_bouldin, extract, silhouette,
-                              train_probe)
+                              auprc, davies_bouldin, extract, holdout_split,
+                              silhouette, train_probe)
 from contrnp.model import ConvCnpModel, ModelConfig
+
+from conftest import param_hash
 
 
 # -- brute-force reference implementations ------------------------------------
@@ -120,6 +122,16 @@ def test_metric_invariances_property(seed):
 
 
 class TestProbe:
+    def test_holdout_split_is_stratified_and_disjoint(self, rng):
+        enc = blobs(rng, n_classes=3, per_class=16)
+        train_set, test_set = holdout_split(enc, rng)
+        # round(0.2 * 16) = 3 test rows per class, every row used once
+        assert np.bincount(test_set.labels).tolist() == [3, 3, 3]
+        assert np.bincount(train_set.labels).tolist() == [13, 13, 13]
+        rows = np.concatenate([train_set.reps, test_set.reps])
+        assert np.array_equal(np.unique(rows, axis=0),
+                              np.unique(enc.reps, axis=0))
+
     def test_separable_reaches_full_training_accuracy(self, rng):
         enc = blobs(rng, n_classes=2, per_class=40, spread=0.1, sep=10.0)
         probe = train_probe(enc, 1.0, rng)
@@ -140,10 +152,10 @@ class TestProbe:
                                          cnn_width=8, d_r=8,
                                          decoder_hidden=8, cnn_kernel=3), rng)
         segs = synth_generate(2, 4, 64, 0.05, rng)
-        before = model.param_hash()
+        before = param_hash(model)
         enc = extract(model, segs, 2, 0.25, 0.75, (5, 10), rng)
         train_probe(enc, 0.8, rng)
-        assert model.param_hash() == before
+        assert param_hash(model) == before
 
 
 class TestExtract:

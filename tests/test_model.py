@@ -4,7 +4,7 @@ import pytest
 from contrnp.model import (CheckpointError, ConvCnpModel, ModelConfig,
                            SIGMA_MIN, load_checkpoint, save_checkpoint)
 
-from conftest import check_grads, translate_check
+from conftest import check_grads, flip_byte_in, translate_check
 
 
 SMALL = ModelConfig(grid_size=32, cnn_depth=2, cnn_width=8, d_r=6,
@@ -167,20 +167,29 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"NOPE!" + b"\0" * 64)
-        with pytest.raises(CheckpointError, match="not a CNPR1"):
+        with pytest.raises(CheckpointError, match="not a CNPR2"):
             load_checkpoint(path)
 
-    def test_shape_mismatch_names_parameter(self, model, tmp_path, rng):
+    def test_flipped_parameter_byte_rejected(self, model, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, {}, path)
-        other = ModelConfig(**{**SMALL.__dict__, "d_r": 5})
-        with pytest.warns(UserWarning, match="differs"):
-            with pytest.raises(CheckpointError, match="repr_"):
-                load_checkpoint(path, expect_config=other)
+        flip_byte_in(path, model.params["repr_w"].data)
+        with pytest.raises(CheckpointError, match="SHA-256 mismatch"):
+            load_checkpoint(path)
 
-    def test_matching_expect_config_loads(self, model, tmp_path):
+    def test_trailing_bytes_rejected(self, model, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, {}, path)
-        loaded, _, _ = load_checkpoint(path, expect_config=SMALL)
-        np.testing.assert_array_equal(loaded.params["repr_w"].data,
-                                      model.params["repr_w"].data)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(CheckpointError,
+                           match=r"trailing bytes after the hash \(1\)"):
+            load_checkpoint(path)
+
+    def test_shape_mismatch_names_parameter(self, model, tmp_path):
+        # the config JSON says d_r = 5, the records hold d_r = 6, and the
+        # hash over both is valid
+        path = tmp_path / "m.ckpt"
+        model.config = ModelConfig(**{**SMALL.__dict__, "d_r": 5})
+        save_checkpoint(model, {}, path)
+        with pytest.raises(CheckpointError, match="repr_"):
+            load_checkpoint(path)
