@@ -32,12 +32,10 @@ class UsageError(ValueError):
     pass
 
 
-_BOOL = {"true": True, "false": False}
-
-
 def parse_config_file(path) -> dict:
-    """Strict `key = value` config parser; keys must be TrainConfig fields."""
-    fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+    """Strict `key = value` config parser; keys must be TrainConfig fields,
+    and each value takes the type of that field's default."""
+    defaults = dataclasses.asdict(TrainConfig())
     out = {}
     try:
         lines = Path(path).read_text().splitlines()
@@ -51,26 +49,13 @@ def parse_config_file(path) -> dict:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in fields:
+        if key not in defaults:
             raise UsageError(f"{path}:{lineno}: unknown config key '{key}'")
         try:
-            out[key] = _coerce(key, value)
+            out[key] = type(defaults[key])(value)
         except ValueError as e:
             raise UsageError(f"{path}:{lineno}: {e}")
     return out
-
-
-def _coerce(key: str, value: str):
-    default = getattr(TrainConfig(), key)
-    if isinstance(default, bool):
-        if value.lower() not in _BOOL:
-            raise ValueError(f"key '{key}' expects true/false, got '{value}'")
-        return _BOOL[value.lower()]
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    return value
 
 
 def _sha256(path) -> str:
@@ -96,7 +81,7 @@ def _load_segments(data_path, cfg: TrainConfig):
 
 def _resolve_config(args) -> TrainConfig:
     overrides = parse_config_file(args.config) if args.config else {}
-    for key in ("seed", "epochs", "window_size", "lam"):
+    for key in ("seed", "epochs"):
         v = getattr(args, key, None)
         if v is not None:
             overrides[key] = v
@@ -127,22 +112,27 @@ def cmd_train(args):
     segments = _load_segments(args.data, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model, log = train(segments, cfg, checkpoint_dir=out)
+    model, log = train(segments, cfg)
     ckpt = out / "model.ckpt"
     save_checkpoint(model, {"train": dataclasses.asdict(cfg)}, ckpt,
                     seed=cfg.seed)
     log.write_csv(out / "train_log.csv")
     write_manifest(out, "train", dataclasses.asdict(cfg), cfg.seed,
                    [args.data])
-    final = log.records[-1][3] if log.records else float("nan")
-    print(f"trained {len(log.records)} steps, final loss {final:.4f}; "
-          f"checkpoint at {ckpt}")
+    loss = f", final loss {log.records[-1][3]:.4f}" if log.records else ""
+    print(f"trained {len(log.records)} steps{loss}; checkpoint at {ckpt}")
 
 
 def _load_run(ckpt_path, data_path):
     """The checkpointed model, its training config and the data's segments."""
     model, cfg_dict, _ = load_checkpoint(ckpt_path)
-    tc = TrainConfig(**cfg_dict["train"])
+    try:
+        tc = TrainConfig(**cfg_dict["train"])
+    except KeyError:
+        raise CheckpointError(f"{ckpt_path}: no \"train\" config")
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(
+            f"{ckpt_path}: \"train\" config does not fit TrainConfig: {e}")
     return model, tc, _load_segments(data_path, tc)
 
 
@@ -262,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--out", required=True)
     pt.add_argument("--seed", type=int)
     pt.add_argument("--epochs", type=int)
-    pt.add_argument("--window-size", dest="window_size", type=int)
-    pt.add_argument("--lam", type=float)
     pt.set_defaults(func=cmd_train)
 
     pe = sub.add_parser("eval", help="linear probe + clustering metrics")

@@ -53,7 +53,6 @@ class Segment:
 
 @dataclass
 class ViewPair:
-    view_id: int
     context_x: np.ndarray
     context_y: np.ndarray
     target_x: np.ndarray
@@ -62,16 +61,7 @@ class ViewPair:
 
 @dataclass
 class SegmentBatch:
-    segment_ids: list[int]
     views: list[list[ViewPair]]   # [K][M]
-
-    @property
-    def k(self):
-        return len(self.segment_ids)
-
-    @property
-    def m(self):
-        return len(self.views[0])
 
 
 def segmentize(series: TimeSeries, window_size: int, stride: int) -> list[Segment]:
@@ -119,11 +109,10 @@ def sample_views(segment: Segment, m: int, a: float, b: float,
             f"segment {segment.segment_id} has only {len(eligible)} points in "
             f"({a}, {b}); need up to {hi} context points")
     views = []
-    for v in range(m):
+    for _ in range(m):
         n_ctx = int(rng.integers(lo, hi + 1))
         idx = np.sort(rng.choice(eligible, size=n_ctx, replace=False))
         views.append(ViewPair(
-            view_id=v,
             context_x=segment.x[idx].copy(),
             context_y=segment.y[idx].copy(),
             target_x=segment.x.copy(),
@@ -139,7 +128,7 @@ def make_batch(segments: list[Segment], m: int, a: float, b: float,
     if len(segments) < 2:
         raise DataError("contrastive batch needs K >= 2 segments")
     views = [sample_views(s, m, a, b, n_context_range, rng) for s in segments]
-    return SegmentBatch([s.segment_id for s in segments], views)
+    return SegmentBatch(views)
 
 
 # -- synthetic waveform corpus -------------------------------------------------
@@ -165,11 +154,11 @@ _FAMILIES = [_sine, _sawtooth, _square, _am_sine]
 
 def synth_generate(n_classes: int, segments_per_class: int, window_len: int,
                    noise_sd: float, rng: np.random.Generator,
-                   amp_range: tuple[float, float] = (0.8, 1.2),
-                   base_freq: float = 3.0) -> list[Segment]:
+                   amp_range: tuple[float, float] = (0.8, 1.2)
+                   ) -> list[Segment]:
     """Labeled synthetic segments; class identity = waveform family + frequency.
 
-    Class c uses waveform family c mod 4 with frequency base_freq + c, a
+    Class c uses waveform family c mod 4 with frequency 3 + c, a
     random phase and amplitude per segment, plus additive Gaussian noise.
     """
     if n_classes < 2:
@@ -181,7 +170,7 @@ def synth_generate(n_classes: int, segments_per_class: int, window_len: int,
     k = 0
     for c in range(n_classes):
         wave = _FAMILIES[c % len(_FAMILIES)]
-        freq = base_freq + c
+        freq = 3.0 + c
         for _ in range(segments_per_class):
             phase = rng.uniform(0.0, 2 * np.pi)
             amp = rng.uniform(*amp_range)

@@ -13,6 +13,8 @@ from .model import ConvCnpModel
 from .train import Adam
 
 HOLDOUT_FRACTION = 0.2
+PROBE_LR = 1e-2
+PROBE_STEPS = 500
 
 
 class EvalError(ValueError):
@@ -66,8 +68,8 @@ def stratified_indices(labels: np.ndarray, fraction: float,
     return np.concatenate(sel), np.concatenate(rest)
 
 
-def train_probe(encoded: EncodedDataset, label_fraction: float, rng,
-                lr: float = 1e-2, steps: int = 500) -> ProbeModel:
+def train_probe(encoded: EncodedDataset, label_fraction: float,
+                rng) -> ProbeModel:
     """Multinomial logistic regression on a stratified labeled fraction.
 
     The labeled fraction is sub-split 80/20; the weights with the best
@@ -98,10 +100,10 @@ def train_probe(encoded: EncodedDataset, label_fraction: float, rng,
 
     d, nc = x.shape[1], len(classes)
     w, b = Tensor(np.zeros((d, nc))), Tensor(np.zeros(nc))
-    opt = Adam({"w": w, "b": b}, lr=lr)
+    opt = Adam({"w": w, "b": b}, lr=PROBE_LR)
     onehot = np.eye(nc)[yt]
     best = (-1.0, w.data.copy(), b.data.copy())
-    for t in range(1, steps + 1):
+    for t in range(1, PROBE_STEPS + 1):
         z = xt @ w.data + b.data
         z -= z.max(axis=1, keepdims=True)
         p = np.exp(z)
@@ -110,7 +112,7 @@ def train_probe(encoded: EncodedDataset, label_fraction: float, rng,
         w.grad = xt.T @ g
         b.grad = g.sum(axis=0)
         opt.step()
-        if t % 25 == 0 or t == steps:
+        if t % 25 == 0 or t == PROBE_STEPS:
             acc = float(np.mean(np.argmax(xv @ w.data + b.data, axis=1) == yv))
             if acc > best[0]:
                 best = (acc, w.data.copy(), b.data.copy())

@@ -26,8 +26,8 @@ class ContrastiveConfig:
     mode: str = "exp_sim"   # "exp_sim" (default) or "literal"
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not self.tau > 0:
+            raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.mode not in ("exp_sim", "literal"):
             raise ValueError(f"unknown contrastive mode '{self.mode}'")
 
@@ -37,7 +37,6 @@ class LossBreakdown:
     total: Tensor
     nll: Tensor
     contrastive: Tensor
-    lam: float
 
 
 def _rep_tensor(r):
@@ -111,4 +110,4 @@ def combined_loss(preds: list[GaussianPrediction], targets: list,
     nll = ad.mean_axis(nll)
     contr = contrastive_loss(reps, cfg)
     total = contr if lam == 0.0 else nll * lam + contr
-    return LossBreakdown(total=total, nll=nll, contrastive=contr, lam=lam)
+    return LossBreakdown(total=total, nll=nll, contrastive=contr)

@@ -31,6 +31,14 @@ class CheckpointError(IOError):
     pass
 
 
+def require(rules):
+    """Raise ValueError with the message of the first (ok, message) rule
+    that does not hold; written as `ok`, a rule refuses NaN."""
+    for ok, message in rules:
+        if not ok:
+            raise ValueError(message)
+
+
 @dataclass
 class ArchConfig:
     """The architecture fields, shared by ModelConfig and TrainConfig."""
@@ -42,6 +50,18 @@ class ArchConfig:
     cnn_kernel: int = 5
     decoder_hidden: int = 64
 
+    def __post_init__(self):
+        sizes = {n: getattr(self, n)
+                 for n in ("d_r", "cnn_depth", "cnn_width", "decoder_hidden")}
+        k = self.cnn_kernel
+        require([
+            (self.grid_size >= 2,
+             f"grid_size must be >= 2, got {self.grid_size}"),
+            (self.margin >= 0, f"margin must be >= 0, got {self.margin}"),
+            *((v >= 1, f"{n} must be >= 1, got {v}") for n, v in sizes.items()),
+            (k >= 1 and k % 2 == 1, f"cnn_kernel must be odd and >= 1, got {k}"),
+        ])
+
 
 @dataclass
 class ModelConfig(ArchConfig):
@@ -49,16 +69,8 @@ class ModelConfig(ArchConfig):
 
 
 @dataclass
-class GridEmbedding:
-    grid_x: np.ndarray   # [G]
-    channels: Tensor     # [G, 1 + C]: density first, then signal channels
-
-
-@dataclass
 class Representation:
     r: Tensor            # [d_r]
-    segment_id: int = -1
-    view_id: int = -1
 
 
 @dataclass
@@ -109,8 +121,9 @@ class ConvCnpModel:
     # -- forward pieces -----------------------------------------------------
 
     def embed_context(self, context_x: np.ndarray,
-                      context_y: np.ndarray) -> GridEmbedding:
-        """Normalized RBF set convolution of the context onto the grid."""
+                      context_y: np.ndarray) -> Tensor:
+        """Normalized RBF set convolution of the context onto the grid:
+        [G, 1 + C] channels, density first, then the signal channels."""
         context_x = np.asarray(context_x, dtype=np.float64)
         context_y = np.asarray(context_y, dtype=np.float64)
         if context_y.ndim == 1:
@@ -127,15 +140,13 @@ class ConvCnpModel:
         w = ad.exp(d2 * -0.5 / (ell * ell))
         density = ad.sum_axis(w, axis=1, keepdims=True)                # [G, 1]
         signal = (w @ Tensor(context_y)) / (density + DENSITY_EPS)     # [G, C]
-        channels = ad.concat([density, signal], axis=1)
-        return GridEmbedding(self.grid_x, channels)
+        return ad.concat([density, signal], axis=1)
 
-    def encode(self, embedding: GridEmbedding) -> tuple[Tensor, Representation]:
+    def encode(self, channels: Tensor) -> tuple[Tensor, Representation]:
         """CNN over the grid embedding; returns grid features and pooled rep."""
         c = self.config
         pad = (c.cnn_kernel - 1) // 2
-        h = ad.transpose(embedding.channels).reshape(1, 1 + c.n_channels,
-                                                     c.grid_size)
+        h = ad.transpose(channels).reshape(1, 1 + c.n_channels, c.grid_size)
         for i in range(c.cnn_depth):
             z = ad.conv1d(h, self.params[f"conv{i}_w"], padding=pad)
             z = z + self.params[f"conv{i}_b"].reshape(1, c.cnn_width, 1)
@@ -234,8 +245,11 @@ def load_checkpoint(path) -> tuple[ConvCnpModel, dict, int]:
         raise CheckpointError(
             f"{path}: trailing bytes after the hash ({len(buf) - pos})")
     cfg = json.loads(blob)
-    model = ConvCnpModel(ModelConfig(**cfg["model"]),
-                         np.random.default_rng(seed))
+    try:
+        config = ModelConfig(**cfg["model"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad \"model\" config: {e!r}")
+    model = ConvCnpModel(config, np.random.default_rng(seed))
     for name, arr in raw.items():
         if name not in model.params:
             raise CheckpointError(f"{path}: unknown parameter '{name}'")

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .autodiff import Tensor
-from .data import Segment, make_batch
+from .data import DataError, Segment, make_batch
 from .losses import ContrastiveConfig, combined_loss
-from .model import ArchConfig, ConvCnpModel, ModelConfig, save_checkpoint
+from .model import ArchConfig, ConvCnpModel, ModelConfig, require
 
 
 class NumericError(RuntimeError):
@@ -29,7 +29,6 @@ class TrainConfig(ArchConfig):
     b: float = 0.75
     n_context_min: int = 20
     n_context_max: int = 100
-    optimizer: str = "adam"
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -38,21 +37,31 @@ class TrainConfig(ArchConfig):
     loss_mode: str = "exp_sim"
     epochs: int = 10
     seed: int = 0
-    checkpoint_every: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.a < self.b <= 1.0):
-            raise ValueError(f"need 0 <= a < b <= 1, got a={self.a}, b={self.b}")
-        if self.m < 2:
-            raise ValueError("m must be >= 2")
-        if self.k_per_batch < 2:
-            raise ValueError("k_per_batch must be >= 2")
-        if self.optimizer != "adam":
-            raise ValueError(f"unknown optimizer '{self.optimizer}'")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        if not self.lam >= 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        super().__post_init__()
+        # ContrastiveConfig holds the one rule for tau and loss_mode
+        ContrastiveConfig(tau=self.tau, mode=self.loss_mode)
+        lo, hi = self.n_context_range
+        require([
+            (0.0 <= self.a < self.b <= 1.0,
+             f"need 0 <= a < b <= 1, got a={self.a}, b={self.b}"),
+            (self.m >= 2, f"m must be >= 2, got {self.m}"),
+            (self.k_per_batch >= 2,
+             f"k_per_batch must be >= 2, got {self.k_per_batch}"),
+            (self.lam >= 0, f"lam must be >= 0, got {self.lam}"),
+            (1 <= lo <= hi, "need 1 <= n_context_min <= n_context_max, "
+                            f"got {lo} and {hi}"),
+            (self.learning_rate > 0,
+             f"learning_rate must be > 0, got {self.learning_rate}"),
+            (0 <= self.beta1 < 1, f"beta1 must be in [0, 1), got {self.beta1}"),
+            (0 <= self.beta2 < 1, f"beta2 must be in [0, 1), got {self.beta2}"),
+            (self.adam_eps > 0, f"adam_eps must be > 0, got {self.adam_eps}"),
+            (self.clip_norm >= 0, "clip_norm must be >= 0 (0: no clipping), "
+                                  f"got {self.clip_norm}"),
+            (self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
+        ])
 
     def model_config(self, n_channels: int) -> ModelConfig:
         arch = {f.name: getattr(self, f.name) for f in fields(ArchConfig)}
@@ -148,11 +157,11 @@ def train_step(model: ConvCnpModel, batch, cfg: TrainConfig, opt: Adam):
     return breakdown
 
 
-def train(segments: list[Segment], cfg: TrainConfig,
-          checkpoint_dir=None) -> tuple[ConvCnpModel, TrainLog]:
+def train(segments: list[Segment],
+          cfg: TrainConfig) -> tuple[ConvCnpModel, TrainLog]:
     """Run the full optimization loop; deterministic given cfg.seed."""
     if len(segments) < cfg.k_per_batch:
-        raise ValueError(
+        raise DataError(
             f"need at least k_per_batch={cfg.k_per_batch} segments, "
             f"got {len(segments)}")
     n_channels = segments[0].y.shape[1]
@@ -180,9 +189,4 @@ def train(segments: list[Segment], cfg: TrainConfig,
                     f"nll={nll}, contrastive={contr}, total={total}")
             log.append(step, nll, contr, total,
                        (time.perf_counter() - t0) * 1000.0)
-            if (checkpoint_dir is not None and cfg.checkpoint_every > 0
-                    and step % cfg.checkpoint_every == 0):
-                save_checkpoint(model, {"train": asdict(cfg)},
-                                f"{checkpoint_dir}/step{step:06d}.ckpt",
-                                seed=cfg.seed)
     return model, log

@@ -1,13 +1,21 @@
+import contextlib
 import csv
+import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from contrnp.cli import main, parse_config_file
-from contrnp.model import load_checkpoint
+from contrnp.model import load_checkpoint, save_checkpoint
+from contrnp.train import TrainConfig
 
 from conftest import flip_byte_in
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 SMALL_CONFIG = """
@@ -27,13 +35,28 @@ seed = 1
 """
 
 
-@pytest.fixture
-def dataset(tmp_path):
-    path = tmp_path / "data.csv"
+# (key, value, exit code): each once ended in a traceback or a silent run
+BAD_VALUES = [
+    ("n_context_min", "12", 1), ("n_context_min", "0", 1),
+    ("cnn_kernel", "4", 1), ("grid_size", "1", 1), ("margin", "-0.6", 1),
+    ("cnn_depth", "0", 1), ("cnn_width", "0", 1), ("d_r", "0", 1),
+    ("decoder_hidden", "0", 1), ("loss_mode", "bogus", 1),
+    ("learning_rate", "-0.01", 1), ("epochs", "-1", 1), ("clip_norm", "-1", 1),
+    ("beta1", "1.5", 1), ("adam_eps", "0", 1), ("seed", "-1", 1),
+    ("k_per_batch", "9", 2),
+]
+
+
+def synth_dataset(path):
     rc = main(["synth", "--classes", "2", "--segments", "4", "--window", "64",
                "--noise", "0.05", "--seed", "0", "--out", str(path)])
     assert rc == 0
     return path
+
+
+@pytest.fixture
+def dataset(tmp_path):
+    return synth_dataset(tmp_path / "data.csv")
 
 
 @pytest.fixture
@@ -75,6 +98,20 @@ class TestConfigFile:
         p.write_text("epochs = banana\n")
         with pytest.raises(Exception, match=":1"):
             parse_config_file(p)
+
+    @pytest.mark.parametrize("name", ["wave.cfg", "sine.cfg"])
+    def test_readme_recipe_configs_are_valid(self, tmp_path, name):
+        recipes = dict(re.findall(r"cat > (\w+\.cfg) <<'CFG'\n(.*?)^CFG$",
+                                  README.read_text(), re.S | re.M))
+        path = tmp_path / name
+        path.write_text(recipes[name])
+        TrainConfig(**parse_config_file(path))
+
+    def test_readme_table_lists_every_config_key(self):
+        rows = [line.split("|")[1] for line in README.read_text().splitlines()
+                if line.startswith("| `")]
+        keys = [k for row in rows for k in re.findall(r"`(\w+)`", row)]
+        assert sorted(keys) == sorted(vars(TrainConfig()))
 
 
 class TestSynth:
@@ -121,6 +158,30 @@ class TestTrain:
         assert f"error: invalid configuration: {message}" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, code", BAD_VALUES,
+                             ids=[f"{k}={v}" for k, v, _ in BAD_VALUES])
+    def test_bad_value_is_one_error_line(self, tmp_path, dataset, config,
+                                         capsys, key, value, code):
+        config.write_text(SMALL_CONFIG + f"{key} = {value}\n")
+        capsys.readouterr()
+        rc = main(["train", "--config", str(config), "--data", str(dataset),
+                   "--out", str(tmp_path / "r")])
+        assert rc == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_zero_epochs_reports_no_loss(self, tmp_path, dataset, config,
+                                         capsys):
+        out = tmp_path / "r"
+        capsys.readouterr()
+        rc = main(["train", "--config", str(config), "--data", str(dataset),
+                   "--out", str(out), "--epochs", "0"])
+        assert rc == 0
+        assert capsys.readouterr().out == \
+            f"trained 0 steps; checkpoint at {out / 'model.ckpt'}\n"
+        assert read_csv(out / "train_log.csv") == [
+            ["step", "nll", "contrastive", "total", "wall_ms"]]
+
     def test_input_not_mutated(self, tmp_path, dataset, config):
         before = dataset.read_bytes()
         main(["train", "--config", str(config), "--data", str(dataset),
@@ -158,6 +219,22 @@ class TestEval:
                    "--out", str(tmp_path / "ev")])
         assert rc == 2
         assert "SHA-256 mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [{"optimizer": "adam"}, {"tau": 0.0},
+                                      None],
+                             ids=["unknown_key", "bad_value", "missing"])
+    def test_train_config_must_fit(self, tmp_path, dataset, trained, capsys,
+                                   edit):
+        model, cfg, seed = load_checkpoint(trained / "model.ckpt")
+        ckpt = tmp_path / "edited.ckpt"
+        extra = {} if edit is None else {"train": {**cfg["train"], **edit}}
+        save_checkpoint(model, extra, ckpt, seed=seed)
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: ")
 
     def test_missing_checkpoint(self, tmp_path, dataset):
         rc = main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"),
@@ -229,3 +306,73 @@ class TestNumericFailure:
                    "--out", str(tmp_path / "run")])
         assert rc == 3
         assert "error: log of non-positive input" in capsys.readouterr().err
+
+
+# Values per config key for the fuzz test: zero, negative, NaN, even
+# kernels and out-of-order bounds next to valid ones, and no size above the
+# desk config, so that no example allocates more than SMALL_CONFIG does.
+FUZZ_VALUES = {
+    "window_size": ["-1", "0", "8", "64", "65"],
+    "grid_size": ["-1", "0", "1", "2", "16"],
+    "margin": ["-0.6", "0", "0.1", "nan"],
+    "d_r": ["-1", "0", "1", "8"],
+    "cnn_depth": ["-1", "0", "1", "2"],
+    "cnn_width": ["-1", "0", "1", "8"],
+    "cnn_kernel": ["-1", "0", "1", "2", "3", "4", "5"],
+    "decoder_hidden": ["-1", "0", "1", "8"],
+    "k_per_batch": ["-1", "0", "1", "2", "9"],
+    "m": ["-1", "0", "1", "2", "3"],
+    "tau": ["-1", "0", "nan", "1e-3", "0.5"],
+    "lam": ["-5", "0", "nan", "1", "100"],
+    "a": ["-0.1", "0", "0.5", "0.75", "nan"],
+    "b": ["0", "0.25", "0.75", "1", "1.5"],
+    "n_context_min": ["-1", "0", "1", "5", "12"],
+    "n_context_max": ["0", "1", "5", "10", "12"],
+    "learning_rate": ["-0.01", "0", "nan", "1e-3", "10"],
+    "beta1": ["-0.1", "0", "0.9", "1", "1.5", "nan"],
+    "beta2": ["-0.1", "0", "0.999", "1", "nan"],
+    "adam_eps": ["-1", "0", "nan", "1e-8"],
+    "clip_norm": ["-1", "0", "nan", "inf", "10"],
+    "loss_mode": ["exp_sim", "literal", "bogus"],
+    "epochs": ["-1", "0", "1", "1.5"],
+    "seed": ["-1", "0", "3"],
+}
+
+fuzz_overrides = st.lists(st.sampled_from(sorted(FUZZ_VALUES)), min_size=1,
+                          max_size=3, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries(
+        {k: st.sampled_from(FUZZ_VALUES[k]) for k in keys}))
+
+
+def pin_bad_values(test):
+    for key, value, _ in BAD_VALUES:
+        test = example(overrides={key: value})(test)
+    return test
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    synth_dataset(path / "data.csv")
+    return path
+
+
+@settings(max_examples=30, deadline=None)
+@given(overrides=fuzz_overrides)
+@pin_bad_values
+def test_fuzzed_config_ends_in_exit_code(fuzz_dir, overrides):
+    base = dict(line.split(" = ") for line in SMALL_CONFIG.splitlines()
+                if " = " in line)
+    values = {**base, "epochs": "1", **overrides}
+    config = fuzz_dir / "run.cfg"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(["train", "--config", str(config),
+                   "--data", str(fuzz_dir / "data.csv"),
+                   "--out", str(fuzz_dir / "run")])
+    assert rc in (0, 1, 2, 3)
+    if rc:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

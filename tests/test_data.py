@@ -98,7 +98,7 @@ class TestMakeBatch:
     def test_view_count(self, rng):
         segs = synth_generate(4, 2, 100, 0.0, rng)
         batch = make_batch(segs, 2, 0.25, 0.75, (10, 20), rng)
-        assert batch.k == 8 and batch.m == 2
+        assert len(batch.views) == 8 and len(batch.views[0]) == 2
         assert sum(len(v) for v in batch.views) == 16
 
     def test_single_segment_rejected(self, rng):

@@ -28,28 +28,28 @@ class TestEmbedContext:
         model.params["raw_len_in"].data = np.float64(np.log(np.expm1(1e-3)))
         gx = model.grid_x[10]
         emb = model.embed_context(np.array([gx]), np.array([[2.5]]))
-        density = emb.channels.data[:, 0]
+        density = emb.data[:, 0]
         assert density[10] == pytest.approx(1.0)
         assert density.max() == density[10]
-        assert emb.channels.data[10, 1] == pytest.approx(2.5, rel=1e-5)
+        assert emb.data[10, 1] == pytest.approx(2.5, rel=1e-5)
 
     def test_permutation_gives_near_identical_embedding(self, model, rng):
         x, y = sine_context(rng)
         perm = rng.permutation(len(x))
-        e1 = model.embed_context(x, y).channels.data
-        e2 = model.embed_context(x[perm], y[perm]).channels.data
+        e1 = model.embed_context(x, y).data
+        e2 = model.embed_context(x[perm], y[perm]).data
         assert np.abs(e1 - e2).max() < 1e-12
 
     def test_zero_values_zero_signal_channel(self, model, rng):
         x, y = sine_context(rng)
-        e1 = model.embed_context(x, y).channels.data
-        e0 = model.embed_context(x, np.zeros_like(y)).channels.data
+        e1 = model.embed_context(x, y).data
+        e0 = model.embed_context(x, np.zeros_like(y)).data
         np.testing.assert_array_equal(e0[:, 1], np.zeros(len(e0)))
         np.testing.assert_array_equal(e0[:, 0], e1[:, 0])
 
     def test_density_nonnegative(self, model, rng):
         x, y = sine_context(rng)
-        assert np.all(model.embed_context(x, y).channels.data[:, 0] >= 0)
+        assert np.all(model.embed_context(x, y).data[:, 0] >= 0)
 
     def test_empty_context_rejected(self, model):
         with pytest.raises(ValueError, match="empty"):
@@ -192,4 +192,13 @@ class TestCheckpoint:
         model.config = ModelConfig(**{**SMALL.__dict__, "d_r": 5})
         save_checkpoint(model, {}, path)
         with pytest.raises(CheckpointError, match="repr_"):
+            load_checkpoint(path)
+
+    def test_invalid_model_config_rejected(self, model, tmp_path):
+        # a valid hash over a config that ModelConfig refuses
+        path = tmp_path / "m.ckpt"
+        model.config = ModelConfig(**SMALL.__dict__)
+        model.config.cnn_kernel = 4
+        save_checkpoint(model, {}, path)
+        with pytest.raises(CheckpointError, match="cnn_kernel must be odd"):
             load_checkpoint(path)
