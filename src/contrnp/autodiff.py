@@ -149,6 +149,9 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
 
+    def __getitem__(self, key):
+        return getitem(self, key)
+
     def reshape(self, *shape):
         return reshape(self, shape)
 
@@ -180,30 +183,34 @@ def _check_same_or_broadcast(a, b, opname):
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_or_broadcast(a, b, "add")
     out = a.data + b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.shape),
-                                         _unbroadcast(g, b.shape)))
+    return _make(out, (a, b), lambda g: (
+        _unbroadcast(g, a.shape) if a._in_graph() else None,
+        _unbroadcast(g, b.shape) if b._in_graph() else None))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_or_broadcast(a, b, "sub")
     out = a.data - b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g, a.shape),
-                                         _unbroadcast(-g, b.shape)))
+    return _make(out, (a, b), lambda g: (
+        _unbroadcast(g, a.shape) if a._in_graph() else None,
+        _unbroadcast(-g, b.shape) if b._in_graph() else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_or_broadcast(a, b, "mul")
     out = a.data * b.data
-    return _make(out, (a, b), lambda g: (_unbroadcast(g * b.data, a.shape),
-                                         _unbroadcast(g * a.data, b.shape)))
+    return _make(out, (a, b), lambda g: (
+        _unbroadcast(g * b.data, a.shape) if a._in_graph() else None,
+        _unbroadcast(g * a.data, b.shape) if b._in_graph() else None))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_same_or_broadcast(a, b, "div")
     out = a.data / b.data
     return _make(out, (a, b), lambda g: (
-        _unbroadcast(g / b.data, a.shape),
-        _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
+        _unbroadcast(g / b.data, a.shape) if a._in_graph() else None,
+        _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        if b._in_graph() else None))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -219,8 +226,8 @@ def relu(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     # stable form: max(x, 0) + log1p(exp(-|x|))
     x = a.data
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
     e = np.exp(-np.abs(x))
+    out = np.maximum(x, 0.0) + np.log1p(e)
     sig = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _make(out, (a,), lambda g: (g * sig,))
 
@@ -284,6 +291,18 @@ def l2_norm(a: Tensor) -> Tensor:
     return _make(np.float64(nrm), (a,), lambda g: (g * a.data / nrm,))
 
 
+def getitem(a: Tensor, key) -> Tensor:
+    """a.data[key] for a basic (slice or integer) index."""
+    out = a.data[key]
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        ga[key] = g
+        return (ga,)
+
+    return _make(out, (a,), backward)
+
+
 def broadcast_to(a: Tensor, shape) -> Tensor:
     out = np.broadcast_to(a.data, shape).copy()
     return _make(out, (a,), lambda g: (_unbroadcast(g, a.shape),))
@@ -307,7 +326,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatchError(
             f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = a.data @ b.data
-    return _make(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    return _make(out, (a, b), lambda g: (
+        g @ b.data.T if a._in_graph() else None,
+        a.data.T @ g if b._in_graph() else None))
+
+
+def rbf(d2: np.ndarray, ell: Tensor, normalize: bool = False) -> Tensor:
+    """RBF weights exp(-d2 / 2 ell^2) of constant squared distances d2[N, M]
+    and a scalar lengthscale; with `normalize`, each row divided by its sum.
+
+    One node in place of the exp/sum/div chain: its only gradient is the
+    scalar ell's, G.(q d2) / ell^3, where normalising replaces d2 by
+    d2 - rowsum(q d2)."""
+    # in place: fresh [N, M] temporaries cost more than the arithmetic
+    q = d2 * -0.5
+    q /= ell.data * ell.data
+    np.exp(q, out=q)
+    if normalize:
+        q /= q.sum(axis=1, keepdims=True)
+
+    def backward(g):
+        if normalize:
+            dq = d2 - np.einsum("ij,ij->i", q, d2)[:, None]
+            dq *= q
+        else:
+            dq = d2 * q
+        return (np.vdot(g, dq) / ell.data ** 3,)
+
+    return _make(q, (ell,), backward)
 
 
 def _im2col(xp: np.ndarray, W: int, L_out: int) -> np.ndarray:

@@ -136,8 +136,8 @@ class ConvCnpModel:
                 f"context x outside grid span [{lo:.3f}, {hi:.3f}]")
 
         ell = ad.softplus(self.params["raw_len_in"])
-        d2 = Tensor((self.grid_x[:, None] - context_x[None, :]) ** 2)  # [G, N]
-        w = ad.exp(d2 * -0.5 / (ell * ell))
+        d2 = (self.grid_x[:, None] - context_x[None, :]) ** 2          # [G, N]
+        w = ad.rbf(d2, ell)
         density = ad.sum_axis(w, axis=1, keepdims=True)                # [G, 1]
         signal = (w @ Tensor(context_y)) / (density + DENSITY_EPS)     # [G, C]
         return ad.concat([density, signal], axis=1)
@@ -166,13 +166,17 @@ class ConvCnpModel:
             raise ValueError(
                 f"target x outside grid span [{lo:.3f}, {hi:.3f}]")
         ell = ad.softplus(self.params["raw_len_out"])
-        d2 = Tensor((target_x[:, None] - self.grid_x[None, :]) ** 2)   # [T, G]
-        q = ad.exp(d2 * -0.5 / (ell * ell))
-        qn = q / ad.sum_axis(q, axis=1, keepdims=True)
-        smoothed = qn @ grid_features                                   # [T, H]
-        hdn = ad.relu(smoothed @ self.params["dec_w1"] + self.params["dec_b1"])
-        mu = hdn @ self.params["dec_mu_w"] + self.params["dec_mu_b"]
-        pre_sigma = hdn @ self.params["dec_sig_w"] + self.params["dec_sig_b"]
+        d2 = (target_x[:, None] - self.grid_x[None, :]) ** 2           # [T, G]
+        qn = ad.rbf(d2, ell, normalize=True)
+        # qn @ (grid_features @ W1) == (qn @ grid_features) @ W1, with the
+        # [G, H] x [H, hidden] product in place of a [T, H] x [H, hidden] one
+        p = self.params
+        hdn = ad.relu(qn @ (grid_features @ p["dec_w1"]) + p["dec_b1"])
+        # mu and the pre-sigma from one product with both heads side by side
+        head = (hdn @ ad.concat([p["dec_mu_w"], p["dec_sig_w"]], axis=1)
+                + ad.concat([p["dec_mu_b"], p["dec_sig_b"]]))
+        c = self.config.n_channels
+        mu, pre_sigma = head[:, :c], head[:, c:]
         sigma = ad.softplus(pre_sigma) + SIGMA_MIN
         return GaussianPrediction(mu, sigma)
 

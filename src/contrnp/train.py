@@ -46,6 +46,8 @@ class TrainConfig(ArchConfig):
         require([
             (0.0 <= self.a < self.b <= 1.0,
              f"need 0 <= a < b <= 1, got a={self.a}, b={self.b}"),
+            (self.window_size >= 2,
+             f"window_size must be >= 2, got {self.window_size}"),
             (self.m >= 2, f"m must be >= 2, got {self.m}"),
             (self.k_per_batch >= 2,
              f"k_per_batch must be >= 2, got {self.k_per_batch}"),
@@ -178,7 +180,10 @@ def train(segments: list[Segment],
             batch = make_batch(chosen, cfg.m, cfg.a, cfg.b,
                                cfg.n_context_range, rng)
             t0 = time.perf_counter()
-            breakdown = train_step(model, batch, cfg, opt)
+            # overflow and NaN are caught by the finiteness checks on the
+            # gradient norm (in train_step) and on the loss (below)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                breakdown = train_step(model, batch, cfg, opt)
             step += 1
             nll = breakdown.nll.item()
             contr = breakdown.contrastive.item()

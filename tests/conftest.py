@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from contrnp import autodiff as ad
 from contrnp.autodiff import Tensor
 
 
@@ -40,6 +41,13 @@ def check_grads(build_loss, params, tol=1e-4, h=1e-5):
     for p, g in zip(params, fd):
         assert np.all(rel_err(p.grad, g) < tol), \
             f"gradient mismatch: max rel err {rel_err(p.grad, g).max():.3g}"
+
+
+def composed_rbf(d2, ell, normalize=False):
+    """`autodiff.rbf` from elementary ops: exp of the scaled squared
+    distances, then, with `normalize`, a row sum and a divide."""
+    q = ad.exp(Tensor(d2) * -0.5 / (ell * ell))
+    return q / ad.sum_axis(q, axis=1, keepdims=True) if normalize else q
 
 
 def translate_check(model, context_x, context_y, target_x, delta_steps: int):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from contrnp import autodiff as ad
 from contrnp.autodiff import DomainError, ShapeMismatchError, Tensor
 
-from conftest import check_grads, leaf
+from conftest import check_grads, composed_rbf, leaf
 
 
 def conv1d_reference(x, k, padding, g):
@@ -215,6 +215,86 @@ class TestGradientChecks:
                 return ad.mean_axis(h * h + ad.exp(h * -0.5))
 
             check_grads(build, [x, w])
+
+
+class TestRbf:
+    GRID = np.linspace(-0.1, 1.1, 16)
+    SPACING = GRID[1] - GRID[0]
+
+    def squared_distances(self, rng, n=30):
+        x = rng.uniform(0.0, 1.0, n)
+        return (x[:, None] - self.GRID[None, :]) ** 2
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("spacings", [0.3, 1.0, 2.5])
+    def test_lengthscale_gradient_matches_finite_differences(
+            self, rng, normalize, spacings):
+        d2 = self.squared_distances(rng)
+        g = rng.standard_normal(d2.shape)
+        ell = Tensor(spacings * self.SPACING, requires_grad=True)
+        check_grads(lambda: ad.sum_axis(ad.rbf(d2, ell, normalize) * g),
+                    [ell], tol=1e-6, h=1e-7 * spacings)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("spacings", [0.3, 1.0, 2.5])
+    def test_fused_equals_composed_chain(self, rng, normalize, spacings):
+        d2 = self.squared_distances(rng)
+        g = rng.standard_normal(d2.shape)
+        grads, values = [], []
+        for build in (ad.rbf, composed_rbf):
+            ell = Tensor(spacings * self.SPACING, requires_grad=True)
+            q = build(d2, ell, normalize)
+            ell.zero_grad()
+            ad.sum_axis(q * Tensor(g)).backward()
+            values.append(q.data)
+            grads.append(float(ell.grad))
+        np.testing.assert_allclose(values[0], values[1], rtol=1e-12, atol=0)
+        assert grads[0] == pytest.approx(grads[1], rel=1e-12, abs=0)
+
+    def test_getitem_gradient(self, rng):
+        x = leaf(rng, 3, 4)
+        check_grads(lambda: ad.sum_axis(x[:, 1:3] * x[:, :2])
+                    + ad.sum_axis(ad.exp(x[1] * 0.5)), [x])
+
+
+class TestConstantOperands:
+    """An op whose other operand is a constant hands that constant no
+    gradient and the graph operand the gradient it always had."""
+
+    @pytest.mark.parametrize("op, const_first, expected", [
+        ("mul", True, lambda g, c, x: g * c),
+        ("mul", False, lambda g, c, x: g * c),
+        ("div", True, lambda g, c, x: -g * c / (x * x)),
+        ("div", False, lambda g, c, x: g / c),
+        ("add", True, lambda g, c, x: g),
+        ("add", False, lambda g, c, x: g),
+        ("sub", True, lambda g, c, x: -g),
+        ("sub", False, lambda g, c, x: g),
+    ])
+    def test_elementwise(self, rng, op, const_first, expected):
+        c = Tensor(rng.standard_normal((3, 4)))
+        x = leaf(rng, 3, 4)
+        g = rng.standard_normal((3, 4))
+        fn = getattr(ad, op)
+        out = fn(c, x) if const_first else fn(x, c)
+        assert out._backward_fn(g)[0 if const_first else 1] is None
+        x.zero_grad()
+        ad.sum_axis(out * Tensor(g)).backward()
+        np.testing.assert_array_equal(x.grad, expected(g, c.data, x.data))
+        assert c.grad is None
+
+    @pytest.mark.parametrize("const_first", [True, False])
+    def test_matmul(self, rng, const_first):
+        c = Tensor(rng.standard_normal((5, 3) if const_first else (3, 2)))
+        w = leaf(rng, *((3, 2) if const_first else (5, 3)))
+        g = rng.standard_normal((5, 2))
+        out = c @ w if const_first else w @ c
+        assert out._backward_fn(g)[0 if const_first else 1] is None
+        w.zero_grad()
+        ad.sum_axis(out * Tensor(g)).backward()
+        np.testing.assert_array_equal(
+            w.grad, c.data.T @ g if const_first else g @ c.data.T)
+        assert c.grad is None
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,7 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from contrnp.train import TrainConfig
 from conftest import flip_byte_in
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 SMALL_CONFIG = """
@@ -43,7 +47,7 @@ BAD_VALUES = [
     ("decoder_hidden", "0", 1), ("loss_mode", "bogus", 1),
     ("learning_rate", "-0.01", 1), ("epochs", "-1", 1), ("clip_norm", "-1", 1),
     ("beta1", "1.5", 1), ("adam_eps", "0", 1), ("seed", "-1", 1),
-    ("k_per_batch", "9", 2),
+    ("window_size", "0", 1), ("window_size", "-1", 1), ("k_per_batch", "9", 2),
 ]
 
 
@@ -169,6 +173,20 @@ class TestTrain:
         assert rc == code
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["-1", "0", "1"])
+    def test_short_window_names_window_size(self, tmp_path, dataset, config,
+                                            capsys, value):
+        # window_size is also the segmenting stride; the error must name
+        # the setting the user wrote, not the stride
+        config.write_text(SMALL_CONFIG + f"window_size = {value}\n")
+        capsys.readouterr()
+        rc = main(["train", "--config", str(config), "--data", str(dataset),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: invalid configuration: window_size must be >= 2, "
+            f"got {value}\n")
 
     def test_zero_epochs_reports_no_loss(self, tmp_path, dataset, config,
                                          capsys):
@@ -306,6 +324,23 @@ class TestNumericFailure:
                    "--out", str(tmp_path / "run")])
         assert rc == 3
         assert "error: log of non-positive input" in capsys.readouterr().err
+
+    def test_overflow_is_one_error_line_on_stderr(self, tmp_path, dataset,
+                                                  config):
+        # tau = 1e-3 overflows exp(sim / tau); numpy's RuntimeWarnings go to
+        # the process's stderr, which capsys and pytest's warning capture
+        # would hide, so the CLI runs in a fresh interpreter
+        config.write_text(SMALL_CONFIG + "tau = 1e-3\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from contrnp.cli import main; sys.exit(main())",
+             "train", "--config", str(config), "--data", str(dataset),
+             "--out", str(tmp_path / "r")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 3
+        assert proc.stderr == ("error: non-finite gradient norm nan before "
+                               "the update\n")
 
 
 # Values per config key for the fuzz test: zero, negative, NaN, even

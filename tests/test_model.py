@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from contrnp.model import (CheckpointError, ConvCnpModel, ModelConfig,
-                           SIGMA_MIN, load_checkpoint, save_checkpoint)
+from contrnp import autodiff as ad
+from contrnp.autodiff import Tensor
+from contrnp.losses import gaussian_nll
+from contrnp.model import (DENSITY_EPS, CheckpointError, ConvCnpModel,
+                           GaussianPrediction, ModelConfig, SIGMA_MIN,
+                           load_checkpoint, save_checkpoint)
 
-from conftest import check_grads, flip_byte_in, translate_check
+from conftest import (check_grads, composed_rbf, flip_byte_in,
+                      translate_check)
 
 
 SMALL = ModelConfig(grid_size=32, cnn_depth=2, cnn_width=8, d_r=6,
@@ -144,6 +149,71 @@ class TestGradients:
                     + ad.mean_axis(rep.r * rep.r))
 
         check_grads(build, list(model.params.values()), tol=1e-4)
+
+
+def composed_embed_context(model, context_x, context_y):
+    """`embed_context` op by op: exp of the scaled squared distances, then
+    density and normalised signal."""
+    ell = ad.softplus(model.params["raw_len_in"])
+    w = composed_rbf((model.grid_x[:, None] - context_x[None, :]) ** 2, ell)
+    density = ad.sum_axis(w, axis=1, keepdims=True)
+    signal = (w @ Tensor(context_y)) / (density + DENSITY_EPS)
+    return ad.concat([density, signal], axis=1)
+
+
+def composed_decode(model, grid_features, target_x):
+    """`decode` op by op: exp/sum/divide smoother, the smoothed features
+    times dec_w1, and one product per head."""
+    p = model.params
+    ell = ad.softplus(p["raw_len_out"])
+    qn = composed_rbf((target_x[:, None] - model.grid_x[None, :]) ** 2, ell,
+                      normalize=True)
+    smoothed = qn @ grid_features
+    hdn = ad.relu(smoothed @ p["dec_w1"] + p["dec_b1"])
+    mu = hdn @ p["dec_mu_w"] + p["dec_mu_b"]
+    pre_sigma = hdn @ p["dec_sig_w"] + p["dec_sig_b"]
+    return GaussianPrediction(mu, ad.softplus(pre_sigma) + SIGMA_MIN)
+
+
+class TestComposedOracle:
+    """The fused smoother, the reassociated hidden layer and the joint head
+    product give the op-by-op model's predictions and gradients."""
+
+    @staticmethod
+    def run(model, embed, decode, x, y, tx, ty):
+        grid_features, rep = model.encode(embed(model, x, y))
+        pred = decode(model, grid_features, tx)
+        loss = gaussian_nll(pred, ty) + ad.mean_axis(rep.r * rep.r)
+        for p in model.params.values():
+            p.zero_grad()
+        loss.backward()
+        return pred, {k: p.grad.copy() for k, p in model.params.items()}
+
+    @pytest.mark.parametrize("n_channels", [1, 3])
+    def test_matches_op_by_op_model(self, rng, n_channels):
+        config = ModelConfig(grid_size=32, cnn_depth=2, cnn_width=8, d_r=6,
+                             decoder_hidden=8, cnn_kernel=3,
+                             n_channels=n_channels)
+        model = ConvCnpModel(config, rng)
+        x = np.sort(rng.uniform(0.25, 0.75, 20))
+        y = rng.standard_normal((20, n_channels))
+        tx = np.sort(rng.uniform(0.0, 1.0, 200))
+        ty = rng.standard_normal((200, n_channels))
+        want_pred, want_grads = self.run(
+            model, composed_embed_context, composed_decode, x, y, tx, ty)
+        pred, grads = self.run(
+            model, ConvCnpModel.embed_context, ConvCnpModel.decode,
+            x, y, tx, ty)
+        pairs = [("mu", pred.mu.data, want_pred.mu.data),
+                 ("sigma", pred.sigma.data, want_pred.sigma.data),
+                 *((k, grads[k], want_grads[k]) for k in model.params)]
+        for name, got, want in pairs:
+            # relative to the largest entry: the reassociated products round
+            # differently, which an entry near 0 would magnify
+            scale = np.max(np.abs(want))
+            assert scale > 0, name
+            err = np.max(np.abs(got - want)) / scale
+            assert err <= 1e-12, f"{name}: relative error {err:.3g}"
 
 
 class TestCheckpoint:
