@@ -1,13 +1,18 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A Tensor wraps a numpy array plus an implicit tape: every op that touches a
-tensor requiring gradients records its parents and a closure that maps the
-output adjoint to parent adjoints. backward() on a scalar walks the graph in
-reverse topological order and accumulates gradients additively into the
-leaf tensors' .grad buffers.
+A Tensor wraps a numpy array plus an implicit tape. `requires_grad` marks
+the graph: a leaf sets it by hand, and an op's output has it exactly when an
+operand has it, in which case the output records its parents and a closure
+that maps the output adjoint to parent adjoints. An op on constants only
+records nothing. backward() on a scalar visits the graph nodes it reaches in
+reverse creation order (every node is created after its operands) and
+accumulates gradients additively into the leaves' .grad buffers.
 """
 
 from __future__ import annotations
+
+import heapq
+import itertools
 
 import numpy as np
 
@@ -35,7 +40,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn",
-                 "_backward_done")
+                 "_backward_done", "_order")
+    _created = itertools.count()
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -44,6 +50,7 @@ class Tensor:
         self._parents = tuple(parents)
         self._backward_fn = backward_fn
         self._backward_done = False
+        self._order = next(Tensor._created)
 
     @property
     def shape(self):
@@ -68,53 +75,40 @@ class Tensor:
 
     # -- graph plumbing -----------------------------------------------------
 
-    def _in_graph(self):
-        return self.requires_grad or bool(self._parents)
-
     def backward(self):
         if self.size != 1:
             raise ShapeMismatchError(
                 f"backward requires a scalar loss, got shape {self.shape}")
-        if not self._in_graph():
+        if not self.requires_grad:
             raise RuntimeError("backward called with no active gradient tape")
         if self._backward_done:
             raise RuntimeError(
                 "backward already called on this tape; re-run the forward pass")
 
-        topo = []
-        visited = set()
-        stack = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited and p._in_graph():
-                    stack.append((p, False))
-
-        adjoint = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
-            g = adjoint.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad and node._backward_fn is None:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
-            if node._backward_fn is not None:
-                parent_grads = node._backward_fn(g)
-                for p, pg in zip(node._parents, parent_grads):
-                    if pg is None or not p._in_graph():
-                        continue
-                    if id(p) in adjoint:
-                        adjoint[id(p)] += pg
-                    else:
-                        adjoint[id(p)] = pg
+        # A leaf takes each adjoint into its own .grad as it arrives; other
+        # nodes wait in `pending`. A node is created after its operands, so
+        # popping the latest-created one finds all of its consumers done.
+        adjoint, pending = {}, []
+        arrivals = [(self, np.ones_like(self.data))]
+        while True:
+            for p, pg in arrivals:
+                if pg is None or not p.requires_grad:
+                    continue
+                if p._backward_fn is None:
+                    if p.grad is None:
+                        p.grad = np.zeros_like(p.data)
+                    p.grad += pg
+                elif id(p) in adjoint:
+                    # not in place: ops pass one array on to several parents
+                    adjoint[id(p)] = adjoint[id(p)] + pg
+                else:
+                    adjoint[id(p)] = pg
+                    heapq.heappush(pending, (-p._order, p))
+            if not pending:
+                break
+            _, node = heapq.heappop(pending)
+            arrivals = zip(node._parents,
+                           node._backward_fn(adjoint.pop(id(node))))
         self._backward_done = True
 
     # -- operator sugar -----------------------------------------------------
@@ -122,26 +116,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
 
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
     def __truediv__(self, other):
         return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
 
     def __neg__(self):
         return neg(self)
@@ -155,18 +137,16 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape)
 
-    @property
-    def T(self):
-        return transpose(self)
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data, parents, backward_fn):
-    if any(p._in_graph() for p in parents):
-        return Tensor(data, parents=parents, backward_fn=backward_fn)
+    """An op's output: in the graph, with its parents and backward, exactly
+    when an operand is."""
+    if any(p.requires_grad for p in parents):
+        return Tensor(data, True, parents, backward_fn)
     return Tensor(data)
 
 
@@ -184,33 +164,33 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_or_broadcast(a, b, "add")
     out = a.data + b.data
     return _make(out, (a, b), lambda g: (
-        _unbroadcast(g, a.shape) if a._in_graph() else None,
-        _unbroadcast(g, b.shape) if b._in_graph() else None))
+        _unbroadcast(g, a.shape) if a.requires_grad else None,
+        _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_or_broadcast(a, b, "sub")
     out = a.data - b.data
     return _make(out, (a, b), lambda g: (
-        _unbroadcast(g, a.shape) if a._in_graph() else None,
-        _unbroadcast(-g, b.shape) if b._in_graph() else None))
+        _unbroadcast(g, a.shape) if a.requires_grad else None,
+        _unbroadcast(-g, b.shape) if b.requires_grad else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_or_broadcast(a, b, "mul")
     out = a.data * b.data
     return _make(out, (a, b), lambda g: (
-        _unbroadcast(g * b.data, a.shape) if a._in_graph() else None,
-        _unbroadcast(g * a.data, b.shape) if b._in_graph() else None))
+        _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+        _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_same_or_broadcast(a, b, "div")
     out = a.data / b.data
     return _make(out, (a, b), lambda g: (
-        _unbroadcast(g / b.data, a.shape) if a._in_graph() else None,
+        _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
         _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        if b._in_graph() else None))
+        if b.requires_grad else None))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -283,14 +263,6 @@ def concat(tensors, axis=0) -> Tensor:
     return _make(out, tuple(tensors), backward)
 
 
-def l2_norm(a: Tensor) -> Tensor:
-    """Euclidean norm of the flattened tensor (scalar output)."""
-    nrm = float(np.linalg.norm(a.data))
-    if nrm == 0.0:
-        raise DomainError("l2_norm of a zero tensor has no gradient")
-    return _make(np.float64(nrm), (a,), lambda g: (g * a.data / nrm,))
-
-
 def getitem(a: Tensor, key) -> Tensor:
     """a.data[key] for a basic (slice or integer) index."""
     out = a.data[key]
@@ -301,11 +273,6 @@ def getitem(a: Tensor, key) -> Tensor:
         return (ga,)
 
     return _make(out, (a,), backward)
-
-
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    out = np.broadcast_to(a.data, shape).copy()
-    return _make(out, (a,), lambda g: (_unbroadcast(g, a.shape),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -327,8 +294,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = a.data @ b.data
     return _make(out, (a, b), lambda g: (
-        g @ b.data.T if a._in_graph() else None,
-        a.data.T @ g if b._in_graph() else None))
+        g @ b.data.T if a.requires_grad else None,
+        a.data.T @ g if b.requires_grad else None))
 
 
 def rbf(d2: np.ndarray, ell: Tensor, normalize: bool = False) -> Tensor:

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,6 +31,25 @@ from .train import NumericError, TrainConfig, train
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument error is a UsageError: one `error:` line, exit 1."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _check_flags(args):
+    """A numeric flag out of range is a UsageError; each rule refuses NaN."""
+    rules = {"seed": (lambda v: v >= 0, ">= 0"),
+             "noise": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
+             "n_context": (lambda v: v >= 1, ">= 1")}
+    for name, (ok, want) in rules.items():
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise UsageError(
+                f"--{name.replace('_', '-')} must be {want}, got {value}")
 
 
 def parse_config_file(path) -> dict:
@@ -174,6 +194,8 @@ def cmd_sweep_labels(args):
         fractions = [float(s) for s in args.fractions.split(",") if s]
     except ValueError as e:
         raise UsageError(f"bad --fractions: {e}")
+    if not fractions:
+        raise UsageError("bad --fractions: no fraction given")
     encoded, _ = _encode_dataset(args.checkpoint, args.data, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -230,7 +252,7 @@ def cmd_forecast(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="contrnp",
         description="Contrastive neural-process representation learning "
                     "for time series")
@@ -284,13 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 1 if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
+        _check_flags(args)
         args.func(args)
+        return 0
+    except SystemExit:  # only --help exits; a bad argument is a UsageError
         return 0
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -225,7 +225,7 @@ def load_csv(path, normalize: bool = True) -> TimeSeries:
         n_ch = len(header) - 1 - (1 if has_label else 0)
         if n_ch < 1:
             raise DataError(f"{path}:1: no channel columns found")
-        xs, ys, labels = [], [], []
+        xs, ys, labels, linenos = [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -237,15 +237,19 @@ def load_csv(path, normalize: bool = True) -> TimeSeries:
                 ys.append([float(v) for v in row[1:1 + n_ch]])
                 if has_label:
                     labels.append(int(float(row[1 + n_ch])))
-            except ValueError as e:
+            except (ValueError, OverflowError) as e:
                 raise DataError(f"{path}:{lineno}: {e}")
+            linenos.append(lineno)
     if not xs:
         raise DataError(f"{path}: no data rows")
-    x = np.asarray(xs)
+    x, y = np.asarray(xs), np.asarray(ys)
+    finite = np.isfinite(x) & np.isfinite(y).all(axis=1)
+    if not finite.all():
+        bad = linenos[np.argmin(finite)]
+        raise DataError(f"{path}:{bad}: non-finite value")
     if np.any(np.diff(x) <= 0):
-        bad = int(np.flatnonzero(np.diff(x) <= 0)[0]) + 2
-        raise DataError(f"{path}: time not strictly increasing at data line {bad}")
-    y = np.asarray(ys)
+        bad = linenos[int(np.flatnonzero(np.diff(x) <= 0)[0]) + 1]
+        raise DataError(f"{path}:{bad}: time not strictly increasing")
     if normalize:
         mu = y.mean(axis=0)
         sd = y.std(axis=0)

@@ -39,12 +39,9 @@ class LossBreakdown:
     contrastive: Tensor
 
 
-def _rep_tensor(r):
-    return r.r if isinstance(r, Representation) else r
-
-
 def contrastive_loss(reps, cfg: ContrastiveConfig) -> Tensor:
-    """Contrastive loss over reps[k][m] (K segments x M views)."""
+    """Contrastive loss over the Representations reps[k][m] (K segments x
+    M views)."""
     k_n = len(reps)
     if k_n < 2:
         raise ValueError("contrastive loss needs K >= 2 segments")
@@ -56,7 +53,7 @@ def contrastive_loss(reps, cfg: ContrastiveConfig) -> Tensor:
         if len(reps[k]) != m_n:
             raise ValueError("ragged view counts across segments")
         for m in range(m_n):
-            t = _rep_tensor(reps[k][m])
+            t = reps[k][m].r
             if np.linalg.norm(t.data) == 0.0:
                 raise ValueError(
                     f"zero-norm representation at segment {k}, view {m}")

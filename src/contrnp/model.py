@@ -214,8 +214,10 @@ def save_checkpoint(model: ConvCnpModel, extra_config: dict, path,
 def load_checkpoint(path) -> tuple[ConvCnpModel, dict, int]:
     """Rebuild a model from a checkpoint; returns (model, config dict, seed).
 
-    A truncated file, a payload that does not match its SHA-256, or bytes
-    after the hash are a CheckpointError.
+    The parameters come back frozen (not requires_grad): a loaded model is
+    only evaluated, so its forward passes record no tape. A truncated file,
+    a payload that does not match its SHA-256, or bytes after the hash are
+    a CheckpointError.
     """
     buf = Path(path).read_bytes()
     pos = 0
@@ -261,7 +263,7 @@ def load_checkpoint(path) -> tuple[ConvCnpModel, dict, int]:
             raise CheckpointError(
                 f"{path}: shape mismatch for parameter '{name}': "
                 f"file {arr.shape} vs model {model.params[name].shape}")
-        model.params[name].data = arr.astype(np.float64)
+        model.params[name] = Tensor(arr.copy())
     missing = set(model.params) - set(raw)
     if missing:
         raise CheckpointError(f"{path}: missing parameters {sorted(missing)}")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from contrnp import autodiff as ad
 from contrnp.autodiff import DomainError, ShapeMismatchError, Tensor
 
-from conftest import check_grads, composed_rbf, leaf
+from conftest import (check_grads, composed_rbf, finite_diff_grads,
+                      leaf, rel_err)
 
 
 def conv1d_reference(x, k, padding, g):
@@ -130,6 +133,97 @@ class TestBackwardValues:
         np.testing.assert_allclose(x.grad, 4 * x.data)
 
 
+class TestTapeRule:
+    """`requires_grad` is the one graph flag: an op's output has it exactly
+    when an operand has it, and only then records parents and a backward."""
+
+    OPS = {
+        "add": (ad.add, [(3, 4), (3, 4)]),
+        "sub": (ad.sub, [(3, 4), (4,)]),
+        "mul": (ad.mul, [(3, 4), (3, 1)]),
+        "div": (lambda a, b: ad.div(a, ad.exp(b)), [(3, 4), (3, 4)]),
+        "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+        "concat": (lambda a, b: ad.concat([a, b], axis=1), [(3, 4), (3, 2)]),
+        "conv1d": (lambda x, k: ad.conv1d(x, k, 1), [(2, 3, 8), (4, 3, 3)]),
+        "neg": (ad.neg, [(3, 4)]),
+        "relu": (ad.relu, [(3, 4)]),
+        "softplus": (ad.softplus, [(3, 4)]),
+        "exp": (ad.exp, [(3, 4)]),
+        "log": (lambda a: ad.log(ad.exp(a)), [(3, 4)]),
+        "sqrt": (lambda a: ad.sqrt(ad.exp(a)), [(3, 4)]),
+        "sum_axis": (lambda a: ad.sum_axis(a, axis=0), [(3, 4)]),
+        "mean_axis": (ad.mean_axis, [(3, 4)]),
+        "getitem": (lambda a: a[1:, :2], [(3, 4)]),
+        "reshape": (lambda a: a.reshape(4, 3), [(3, 4)]),
+        "transpose": (ad.transpose, [(3, 4)]),
+        "rbf": (lambda a: ad.rbf(np.ones((3, 4)), a), [()]),
+    }
+    CASES = [(name, flags) for name, (_, shapes) in OPS.items()
+             for flags in itertools.product([False, True], repeat=len(shapes))]
+
+    @pytest.mark.parametrize("name, flags", CASES,
+                             ids=[f"{n}-{f}" for n, f in CASES])
+    def test_output_in_graph_exactly_when_an_operand_is(self, rng, name,
+                                                        flags):
+        fn, shapes = self.OPS[name]
+        operands = [Tensor(rng.standard_normal(s), requires_grad=f)
+                    for s, f in zip(shapes, flags)]
+        out = fn(*operands)
+        assert out.requires_grad == any(flags)
+        if any(flags):
+            assert out._parents and out._backward_fn is not None
+        else:
+            assert out._parents == () and out._backward_fn is None
+
+    def test_diamond_graph_matches_finite_differences(self, rng):
+        # h is consumed at depths 1, 2 and 3; `add` hands p and q one
+        # adjoint array while p still waits for m's; y is a leaf created
+        # after the intermediate nodes it is combined with
+        x = leaf(rng, 3)
+        y_values = Tensor(rng.standard_normal(3))  # perturbed by the fd loop
+        made = {}
+
+        def build():
+            h = ad.exp(x * 0.5)
+            u = h * h
+            s = u + h
+            p, q = ad.exp(x * 0.2), ad.exp(x * 0.3)
+            m = p * p
+            t = p + q
+            made["y"] = y = Tensor(y_values.data, requires_grad=True)
+            return (ad.sum_axis(s * s * y) + ad.sum_axis(h * u)
+                    + ad.sum_axis(h) + ad.sum_axis(m) + ad.sum_axis(t))
+
+        loss = build()
+        y = made["y"]
+        x.zero_grad()
+        y.zero_grad()
+        loss.backward()
+        fd = finite_diff_grads(lambda: build().item(), [x, y_values])
+        for got, want in zip([x.grad, y.grad], fd):
+            assert rel_err(got, want).max() < 1e-6
+
+    def test_backward_runs_each_node_once(self, rng):
+        # reverse creation order reaches a node only after all of its
+        # consumers, so no node's backward runs on a partial adjoint
+        x = leaf(rng, 3)
+        h = ad.exp(x * 0.5)
+        loss = ad.sum_axis((h * h + h) * h) + ad.sum_axis(h + x)
+        calls, nodes, stack = {}, set(), [loss]
+        while stack:
+            node = stack.pop()
+            if node._backward_fn is not None and id(node) not in nodes:
+                nodes.add(id(node))
+                stack.extend(node._parents)
+
+                def counted(g, fn=node._backward_fn, key=id(node)):
+                    calls[key] = calls.get(key, 0) + 1
+                    return fn(g)
+                node._backward_fn = counted
+        loss.backward()
+        assert calls == {key: 1 for key in nodes}
+
+
 class TestGradientChecks:
     """Finite-difference oracle over every differentiable op."""
 
@@ -157,8 +251,6 @@ class TestGradientChecks:
         scalar = leaf(rng)
         check_grads(lambda: ad.sum_axis((x + row) * col / (scalar * scalar + 1.0)),
                     [x, row, col, scalar])
-        check_grads(lambda: ad.sum_axis(ad.broadcast_to(row, (3, 4)) * x),
-                    [row, x])
 
     def test_reductions_and_structure(self, rng):
         x = leaf(rng, 3, 4)
@@ -167,7 +259,6 @@ class TestGradientChecks:
             lambda: ad.sum_axis(ad.mean_axis(x, axis=0) * 2.0),
             lambda: ad.sum_axis(ad.sum_axis(x, axis=1, keepdims=True)),
             lambda: ad.mean_axis(ad.concat([x, y], axis=0)),
-            lambda: ad.l2_norm(x),
             lambda: ad.sum_axis(ad.transpose(x) @ x),
             lambda: ad.sum_axis(x.reshape(12) * 0.5),
         ]:

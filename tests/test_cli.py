@@ -254,6 +254,23 @@ class TestEval:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: ")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [0, 1], ids=["time", "ch0"])
+    def test_non_finite_cell_is_data_error(self, tmp_path, dataset, trained,
+                                           capsys, cell, column):
+        lines = dataset.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[column] = cell
+        lines[5] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(trained / "model.ckpt"),
+                   "--data", str(bad), "--out", str(tmp_path / "ev")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}:6: non-finite value\n"
+        assert not (tmp_path / "ev" / "metrics.csv").exists()
+
     def test_missing_checkpoint(self, tmp_path, dataset):
         rc = main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"),
                    "--data", str(dataset), "--out", str(tmp_path)])
@@ -401,13 +418,119 @@ def test_fuzzed_config_ends_in_exit_code(fuzz_dir, overrides):
     values = {**base, "epochs": "1", **overrides}
     config = fuzz_dir / "run.cfg"
     config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    rc, err = run_main(["train", "--config", config,
+                        "--data", fuzz_dir / "data.csv",
+                        "--out", fuzz_dir / "run"])
+    assert rc in (0, 1, 2, 3)
+    if rc:
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
+# (command, flag, value, message): each once ended in a traceback, a silent
+# success or a multi-line usage message
+BAD_FLAGS = [
+    ("forecast", "--n-context", "0", "--n-context must be >= 1, got 0"),
+    ("forecast", "--n-context", "-1", "--n-context must be >= 1, got -1"),
+    ("synth", "--noise", "-1", "--noise must be finite and >= 0, got -1.0"),
+    ("synth", "--noise", "nan", "--noise must be finite and >= 0, got nan"),
+    ("synth", "--noise", "inf", "--noise must be finite and >= 0, got inf"),
+    ("synth", "--seed", "-1", "--seed must be >= 0, got -1"),
+    ("eval", "--seed", "-1", "--seed must be >= 0, got -1"),
+    ("sweep-labels", "--fractions", "", "bad --fractions: no fraction given"),
+    ("synth", "--classes", "nan",
+     "argument --classes: invalid int value: 'nan'"),
+]
+
+# Values per numeric flag of the commands other than train: zero, negative,
+# NaN, inf and values of the wrong type next to valid ones; synth sizes stay
+# small, so that no example allocates much.
+SEEDS = ["-1", "0", "3", "nan"]
+FLAG_VALUES = {
+    "synth": {
+        "--classes": ["-1", "0", "1", "2", "4", "nan"],
+        "--segments": ["-1", "0", "1", "3", "1.5"],
+        "--window": ["-1", "0", "1", "2", "20"],
+        "--noise": ["-1", "0", "0.1", "nan", "inf", "-inf"],
+        "--seed": SEEDS,
+    },
+    "eval": {
+        "--label-fraction": ["-1", "0", "0.01", "0.5", "1", "1.5", "nan",
+                             "inf"],
+        "--seed": SEEDS,
+    },
+    "sweep-labels": {
+        "--fractions": ["", "0.5", "0.5,0.8", "0,1", "nan", "0.5,inf", "-1",
+                        "x"],
+        "--seed": SEEDS,
+    },
+    "forecast": {
+        "--segment-id": ["-1", "0", "7", "8", "99"],
+        "--n-context": ["-1", "0", "1", "8", "32", "33", "1000"],
+        "--seed": SEEDS,
+    },
+}
+
+
+@st.composite
+def flag_cases(draw):
+    command = draw(st.sampled_from(sorted(FLAG_VALUES)))
+    values = FLAG_VALUES[command]
+    flags = draw(st.lists(st.sampled_from(sorted(values)), min_size=1,
+                          max_size=3, unique=True))
+    return command, {f: draw(st.sampled_from(values[f])) for f in flags}
+
+
+def pin_bad_flags(test):
+    for command, flag, value, _ in BAD_FLAGS:
+        test = example(case=(command, {flag: value}))(test)
+    return test
+
+
+def run_main(argv):
+    """Exit code and stderr lines of `main(argv)`, stdout discarded."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        rc = main(["train", "--config", str(config),
-                   "--data", str(fuzz_dir / "data.csv"),
-                   "--out", str(fuzz_dir / "run")])
+        rc = main([str(a) for a in argv])
+    return rc, err.getvalue().splitlines()
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(fuzz_dir):
+    config = fuzz_dir / "trained.cfg"
+    config.write_text(SMALL_CONFIG)
+    rc, _ = run_main(["train", "--config", config, "--data",
+                      fuzz_dir / "data.csv", "--out", fuzz_dir / "trained"])
+    assert rc == 0
+    return fuzz_dir / "trained"
+
+
+def command_argv(command, fuzz_dir, fuzz_run):
+    """A valid call of `command` on the fuzz dataset and checkpoint."""
+    if command == "synth":
+        return ["synth", "--classes", "2", "--segments", "2", "--window",
+                "20", "--out", fuzz_dir / "synth" / "data.csv"]
+    out = fuzz_dir / (command + ".csv" if command == "forecast" else command)
+    return [command, "--checkpoint", fuzz_run / "model.ckpt",
+            "--data", fuzz_dir / "data.csv", "--out", out]
+
+
+@pytest.mark.parametrize("command, flag, value, message", BAD_FLAGS,
+                         ids=[f"{c}{f}={v}" for c, f, v, _ in BAD_FLAGS])
+def test_bad_flag_is_one_error_line(fuzz_dir, fuzz_run, command, flag,
+                                    value, message):
+    rc, err = run_main(command_argv(command, fuzz_dir, fuzz_run)
+                       + [flag, value])
+    assert (rc, err) == (1, [f"error: {message}"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=flag_cases())
+@pin_bad_flags
+def test_fuzzed_flags_end_in_exit_code(fuzz_dir, fuzz_run, case):
+    command, flags = case
+    argv = command_argv(command, fuzz_dir, fuzz_run)
+    rc, err = run_main(argv + [x for pair in flags.items() for x in pair])
     assert rc in (0, 1, 2, 3)
     if rc:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(err) == 1 and err[0].startswith("error: ")

@@ -171,6 +171,34 @@ class TestCsv:
         with pytest.raises(DataError, match="increasing"):
             load_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["time", "ch0", "ch1"])
+    def test_non_finite_cell_cites_line(self, tmp_path, cell, column):
+        rows = [{"time": str(t), "ch0": str(t + 1), "ch1": str(t + 2)}
+                for t in range(3)]
+        rows[1][column] = cell
+        p = tmp_path / "t.csv"
+        # blank lines between the rows count: the bad cell is on line 4
+        p.write_text("time,ch0,ch1,label\n" + "\n".join(
+            f"{r['time']},{r['ch0']},{r['ch1']},0\n" for r in rows))
+        with pytest.raises(DataError) as e:
+            load_csv(p)
+        assert str(e.value) == f"{p}:4: non-finite value"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_label_cites_line(self, tmp_path, cell):
+        p = tmp_path / "t.csv"
+        p.write_text(f"time,ch0,label\n0,1,0\n1,2,{cell}\n")
+        with pytest.raises(DataError, match=f"^{p}:3: "):
+            load_csv(p)
+
+    def test_non_monotone_time_cites_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("time,ch0\n0,1\n\n2,2\n1,3\n")
+        with pytest.raises(DataError) as e:
+            load_csv(p)
+        assert str(e.value) == f"{p}:5: time not strictly increasing"
+
     def test_parse_error_cites_line(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("time,ch0\n0,1\nx,2\n")

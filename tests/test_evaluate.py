@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contrnp.data import synth_generate
+from contrnp.data import sample_views, synth_generate
 from contrnp.evaluate import (EncodedDataset, EvalError, ProbeModel, accuracy,
                               auprc, davies_bouldin, extract, holdout_split,
                               silhouette, train_probe)
-from contrnp.model import ConvCnpModel, ModelConfig
+from contrnp.model import (ConvCnpModel, ModelConfig, load_checkpoint,
+                           save_checkpoint)
 
 from conftest import param_hash
 
@@ -178,7 +179,6 @@ class TestExtract:
         enc1 = extract(model, segs, 3, 0.25, 0.75, (5, 5),
                        np.random.default_rng(3))
         # recompute by hand with the same rng stream
-        from contrnp.data import sample_views
         rng2 = np.random.default_rng(3)
         views = sample_views(segs[0], 3, 0.25, 0.75, (5, 5), rng2)
         manual = np.mean([model.represent(v.context_x, v.context_y).r.data
@@ -193,6 +193,25 @@ class TestExtract:
         e2 = extract(model, segs, 2, 0.25, 0.75, (5, 10),
                      np.random.default_rng(4))
         np.testing.assert_array_equal(e1.reps, e2.reps)
+
+
+    def test_loaded_checkpoint_extracts_the_same_with_no_tape(self, rng,
+                                                               tmp_path):
+        model = self.small_model(rng)
+        segs = synth_generate(2, 2, 64, 0.05, rng)
+        save_checkpoint(model, {}, tmp_path / "m.ckpt")
+        loaded, _, _ = load_checkpoint(tmp_path / "m.ckpt")
+        want, got = (extract(m, segs, 2, 0.25, 0.75, (5, 10),
+                             np.random.default_rng(4))
+                     for m in (model, loaded))
+        assert got.reps.tobytes() == want.reps.tobytes()
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+        view = sample_views(segs[0], 1, 0.25, 0.75, (5, 10), rng)[0]
+        assert model.represent(view.context_x, view.context_y).r._parents
+        rep = loaded.represent(view.context_x, view.context_y).r
+        assert rep._parents == () and not rep.requires_grad
+        assert not any(p.requires_grad for p in loaded.params.values())
 
 
 class TestClassificationMetrics:

@@ -6,7 +6,7 @@ from contrnp import autodiff as ad
 from contrnp.autodiff import DomainError, ShapeMismatchError, Tensor
 from contrnp.losses import (ContrastiveConfig, combined_loss,
                             contrastive_loss, gaussian_nll)
-from contrnp.model import GaussianPrediction
+from contrnp.model import GaussianPrediction, Representation
 
 from conftest import check_grads
 
@@ -37,7 +37,7 @@ def brute_force_contrastive(vectors, tau):
 
 
 def rep_tensors(vectors):
-    return [[Tensor(v) for v in row] for row in vectors]
+    return [[Representation(Tensor(v)) for v in row] for row in vectors]
 
 
 def random_vectors(rng, k, m, d=5):
@@ -124,9 +124,10 @@ class TestContrastiveLoss:
         assert out.item() == pytest.approx(expected, abs=1e-10)
 
     def test_gradients_pass_finite_differences(self, rng):
-        reps = [[Tensor(rng.standard_normal(4), requires_grad=True)
+        reps = [[Representation(Tensor(rng.standard_normal(4),
+                                       requires_grad=True))
                  for _ in range(2)] for _ in range(3)]
-        flat = [t for row in reps for t in row]
+        flat = [rep.r for row in reps for rep in row]
         check_grads(lambda: contrastive_loss(reps, ContrastiveConfig(tau=0.5)),
                     flat)
 
