@@ -125,9 +125,6 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, _as_tensor(other))
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
 
@@ -193,10 +190,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad else None))
 
 
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
     mask = a.data > 0
@@ -252,7 +245,6 @@ def mean_axis(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def concat(tensors, axis=0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -333,11 +325,12 @@ def _im2col(xp: np.ndarray, W: int, L_out: int) -> np.ndarray:
     return windows.reshape(B, C * W, L_out)
 
 
-def conv1d(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
-    """Cross-correlation of x[B,C,L] with kernel[C_out,C,W], zero padding.
+def conv1d(x: Tensor, kernel: Tensor) -> Tensor:
+    """Cross-correlation of x[B,C,L] with kernel[C_out,C,W] for an odd W,
+    zero-padded by (W - 1) / 2 on each side so the output keeps length L.
 
     Lowered to one matrix product per pass (im2col): the output is
-    kernel[C_out, C*W] @ columns[B, C*W, L_out]. The backward pass rebuilds
+    kernel[C_out, C*W] @ columns[B, C*W, L]. The backward pass rebuilds
     the columns from the padded input rather than keeping them alive."""
     if x.ndim != 3 or kernel.ndim != 3:
         raise ShapeMismatchError(
@@ -345,27 +338,24 @@ def conv1d(x: Tensor, kernel: Tensor, padding: int = 0) -> Tensor:
             f"got {x.shape} and {kernel.shape}")
     B, C, L = x.shape
     C_out, C_k, W = kernel.shape
-    if C_k != C:
+    if C_k != C or W % 2 == 0:
         raise ShapeMismatchError(
-            f"conv1d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
-    L_out = L + 2 * padding - W + 1
-    if L_out < 1:
-        raise ShapeMismatchError(
-            f"conv1d kernel width {W} exceeds padded length {L + 2 * padding}")
+            f"conv1d needs a kernel of odd width over the input's channels: "
+            f"input {x.shape} vs kernel {kernel.shape}")
+    pad = (W - 1) // 2
 
-    xp = np.zeros((B, C, L + 2 * padding))
-    xp[:, :, padding:padding + L] = x.data
+    xp = np.zeros((B, C, L + 2 * pad))
+    xp[:, :, pad:pad + L] = x.data
     k2 = kernel.data.reshape(C_out, C * W)
-    out = k2 @ _im2col(xp, W, L_out)
+    out = k2 @ _im2col(xp, W, L)
 
     def backward(g):
-        cols = _im2col(xp, W, L_out)
+        cols = _im2col(xp, W, L)
         gk = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(C_out, C, W)
-        gcols = (k2.T @ g).reshape(B, C, W, L_out)
+        gcols = (k2.T @ g).reshape(B, C, W, L)
         gxp = np.zeros_like(xp)
         for w in range(W):
-            gxp[:, :, w:w + L_out] += gcols[:, :, w]
-        gx = gxp[:, :, padding:padding + L] if padding else gxp
-        return (gx, gk)
+            gxp[:, :, w:w + L] += gcols[:, :, w]
+        return (gxp[:, :, pad:pad + L], gk)
 
     return _make(out, (x, kernel), backward)

@@ -4,7 +4,7 @@ Subcommands: synth, train, eval, sweep-labels, forecast. Every command
 writes a manifest JSON (resolved config, seed, content hashes of inputs)
 next to its outputs so a run can be reproduced from the manifest alone.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data or path error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -41,15 +41,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _check_flags(args):
-    """A numeric flag out of range is a UsageError; each rule refuses NaN."""
-    rules = {"seed": (lambda v: v >= 0, ">= 0"),
-             "noise": (lambda v: 0 <= v < math.inf, "finite and >= 0"),
-             "n_context": (lambda v: v >= 1, ">= 1")}
+    """A numeric flag out of range is a UsageError; each rule refuses NaN.
+    `--fractions` is parsed here into a list, each entry a label fraction."""
+    if getattr(args, "fractions", None) is not None:
+        try:
+            args.fractions = [float(s) for s in args.fractions.split(",") if s]
+        except ValueError as e:
+            raise UsageError(f"bad --fractions: {e}")
+        if not args.fractions:
+            raise UsageError("bad --fractions: no fraction given")
+    at_least = {"seed": 0, "n_context": 1, "classes": 2, "segments": 1,
+                "window": 2}
+    rules = {name: (lambda v, lo=lo: v >= lo, f">= {lo}")
+             for name, lo in at_least.items()}
+    rules["noise"] = (lambda v: 0 <= v < math.inf, "finite and >= 0")
+    rules["label_fraction"] = rules["fractions"] = (
+        lambda v: 0 < v <= 1, "in (0, 1]")
     for name, (ok, want) in rules.items():
         value = getattr(args, name, None)
-        if value is not None and not ok(value):
-            raise UsageError(
-                f"--{name.replace('_', '-')} must be {want}, got {value}")
+        for v in value if isinstance(value, list) else [value]:
+            if v is not None and not ok(v):
+                raise UsageError(
+                    f"--{name.replace('_', '-')} must be {want}, got {v}")
 
 
 def parse_config_file(path) -> dict:
@@ -190,17 +203,11 @@ def cmd_eval(args):
 
 
 def cmd_sweep_labels(args):
-    try:
-        fractions = [float(s) for s in args.fractions.split(",") if s]
-    except ValueError as e:
-        raise UsageError(f"bad --fractions: {e}")
-    if not fractions:
-        raise UsageError("bad --fractions: no fraction given")
     encoded, _ = _encode_dataset(args.checkpoint, args.data, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for frac in fractions:
+    for frac in args.fractions:
         rng = np.random.default_rng(args.seed)
         acc, ap = evaluate_split(encoded, frac, rng)
         rows.append((frac, acc, ap))
@@ -211,7 +218,7 @@ def cmd_sweep_labels(args):
             w.writerow([frac, repr(acc), repr(ap)])
     write_manifest(out, "sweep-labels",
                    {"checkpoint": str(args.checkpoint), "data": str(args.data),
-                    "fractions": fractions},
+                    "fractions": args.fractions},
                    args.seed, [args.checkpoint, args.data])
     for frac, acc, ap in rows:
         print(f"fraction={frac:.2f} accuracy={acc:.4f} auprc={ap:.4f}")
@@ -316,7 +323,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (DataError, EvalError, CheckpointError, FileNotFoundError) as e:
+    except (DataError, EvalError, OSError) as e:  # CheckpointError too
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (NumericError, DomainError, ShapeMismatchError) as e:

@@ -10,7 +10,7 @@ pairs for the contrastive objective.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,22 +21,9 @@ class DataError(ValueError):
 
 @dataclass
 class TimeSeries:
-    x: np.ndarray                 # [T] timestamps, strictly increasing
-    y: np.ndarray                 # [T, C]
+    x: np.ndarray                 # [T] float64, strictly increasing
+    y: np.ndarray                 # [T, C] float64
     labels: np.ndarray | None = None  # [T] int class ids
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.float64)
-        if self.y.ndim == 1:
-            self.y = self.y[:, None]
-        if len(self.x) == 0:
-            raise DataError("empty time series")
-        if len(self.x) != len(self.y):
-            raise DataError(
-                f"timestamps ({len(self.x)}) and values ({len(self.y)}) disagree")
-        if np.any(np.diff(self.x) <= 0):
-            raise DataError("timestamps must be strictly increasing")
 
     @property
     def n_channels(self):
@@ -72,8 +59,6 @@ def segmentize(series: TimeSeries, window_size: int, stride: int) -> list[Segmen
     if window_size > len(series.x):
         raise DataError(
             f"window_size {window_size} exceeds series length {len(series.x)}")
-    if stride < 1:
-        raise DataError("stride must be >= 1")
     segments = []
     k = 0
     for start in range(0, len(series.x) - window_size + 1, stride):
@@ -98,10 +83,6 @@ def sample_views(segment: Segment, m: int, a: float, b: float,
     Context indices come from {i : a < x_i < b}, without replacement; the
     target set is always the full window.
     """
-    if not (0.0 <= a < b <= 1.0):
-        raise DataError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
-    if m < 1:
-        raise DataError("m must be >= 1")
     lo, hi = n_context_range
     eligible = np.flatnonzero((segment.x > a) & (segment.x < b))
     if len(eligible) < hi:
@@ -125,8 +106,6 @@ def make_batch(segments: list[Segment], m: int, a: float, b: float,
                n_context_range: tuple[int, int],
                rng: np.random.Generator) -> SegmentBatch:
     """Assemble the K segments of one training batch, M views each."""
-    if len(segments) < 2:
-        raise DataError("contrastive batch needs K >= 2 segments")
     views = [sample_views(s, m, a, b, n_context_range, rng) for s in segments]
     return SegmentBatch(views)
 
@@ -153,18 +132,13 @@ _FAMILIES = [_sine, _sawtooth, _square, _am_sine]
 
 
 def synth_generate(n_classes: int, segments_per_class: int, window_len: int,
-                   noise_sd: float, rng: np.random.Generator,
-                   amp_range: tuple[float, float] = (0.8, 1.2)
-                   ) -> list[Segment]:
+                   noise_sd: float, rng: np.random.Generator) -> list[Segment]:
     """Labeled synthetic segments; class identity = waveform family + frequency.
 
     Class c uses waveform family c mod 4 with frequency 3 + c, a
-    random phase and amplitude per segment, plus additive Gaussian noise.
+    random phase, an amplitude in [0.8, 1.2] per segment, plus additive
+    Gaussian noise.
     """
-    if n_classes < 2:
-        raise DataError("need at least 2 classes")
-    if segments_per_class < 1 or window_len < 2:
-        raise DataError("segments_per_class and window_len must be positive")
     x = np.linspace(0.0, 1.0, window_len)
     segments = []
     k = 0
@@ -173,7 +147,7 @@ def synth_generate(n_classes: int, segments_per_class: int, window_len: int,
         freq = 3.0 + c
         for _ in range(segments_per_class):
             phase = rng.uniform(0.0, 2 * np.pi)
-            amp = rng.uniform(*amp_range)
+            amp = rng.uniform(0.8, 1.2)
             y = amp * wave(2 * np.pi * freq * x + phase)
             if noise_sd > 0:
                 y = y + rng.normal(0.0, noise_sd, size=window_len)
@@ -210,36 +184,44 @@ def write_csv(series: TimeSeries, path):
             w.writerow(row)
 
 
-def load_csv(path, normalize: bool = True) -> TimeSeries:
-    """Parse `time,ch0,...,chN[,label]` and z-score each channel (eps-guarded)."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        if not header or header[0] != "time":
-            raise DataError(f"{path}:1: first column must be 'time'")
-        has_label = header[-1] == "label"
-        n_ch = len(header) - 1 - (1 if has_label else 0)
-        if n_ch < 1:
-            raise DataError(f"{path}:1: no channel columns found")
-        xs, ys, labels, linenos = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+def load_csv(path) -> TimeSeries:
+    """Parse `time,ch0,...,chN[,label]` and z-score each channel (eps-guarded).
+
+    Every rule on the file's contents lives here: a malformed, non-UTF-8,
+    non-finite or non-monotone file is a DataError that names the path."""
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
             try:
-                xs.append(float(row[0]))
-                ys.append([float(v) for v in row[1:1 + n_ch]])
-                if has_label:
-                    labels.append(int(float(row[1 + n_ch])))
-            except (ValueError, OverflowError) as e:
-                raise DataError(f"{path}:{lineno}: {e}")
-            linenos.append(lineno)
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            if not header or header[0] != "time":
+                raise DataError(f"{path}:1: first column must be 'time'")
+            has_label = header[-1] == "label"
+            n_ch = len(header) - 1 - (1 if has_label else 0)
+            if n_ch < 1:
+                raise DataError(f"{path}:1: no channel columns found")
+            xs, ys, labels, linenos = [], [], [], []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{lineno}: expected "
+                                    f"{len(header)} fields, got {len(row)}")
+                try:
+                    xs.append(float(row[0]))
+                    ys.append([float(v) for v in row[1:1 + n_ch]])
+                    if has_label:
+                        labels.append(int(float(row[1 + n_ch])))
+                except (ValueError, OverflowError) as e:
+                    raise DataError(f"{path}:{lineno}: {e}")
+                linenos.append(lineno)
+    except UnicodeDecodeError as e:  # its position counts from a chunk
+        raise DataError(f"{path}: not UTF-8 text ({e.reason})")
+    except csv.Error as e:
+        raise DataError(f"{path}: {e}")
     if not xs:
         raise DataError(f"{path}: no data rows")
     x, y = np.asarray(xs), np.asarray(ys)
@@ -250,8 +232,5 @@ def load_csv(path, normalize: bool = True) -> TimeSeries:
     if np.any(np.diff(x) <= 0):
         bad = linenos[int(np.flatnonzero(np.diff(x) <= 0)[0]) + 1]
         raise DataError(f"{path}:{bad}: time not strictly increasing")
-    if normalize:
-        mu = y.mean(axis=0)
-        sd = y.std(axis=0)
-        y = (y - mu) / np.maximum(sd, 1e-8)
+    y = (y - y.mean(axis=0)) / np.maximum(y.std(axis=0), 1e-8)
     return TimeSeries(x, y, np.asarray(labels, dtype=np.int64) if has_label else None)

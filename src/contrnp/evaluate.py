@@ -78,8 +78,6 @@ def train_probe(encoded: EncodedDataset, label_fraction: float,
     transform is folded back into the returned weights, so the probe is
     still a single linear layer over raw representations.
     """
-    if not (0.0 < label_fraction <= 1.0):
-        raise EvalError(f"label_fraction must be in (0, 1], got {label_fraction}")
     classes = np.unique(encoded.labels)
     lab_idx, _ = stratified_indices(encoded.labels, label_fraction, rng)
     missing = [int(c) for c in classes
@@ -139,7 +137,8 @@ def evaluate_split(encoded: EncodedDataset, label_fraction: float,
     AUPRC). The split and the probe draw from `rng` in that order."""
     train_set, test_set = holdout_split(encoded, rng)
     probe = train_probe(train_set, label_fraction, rng)
-    return accuracy(probe, test_set), auprc(probe, test_set)
+    ap = auprc(probe, test_set)  # first: it refuses a single-class test set
+    return accuracy(probe, test_set), ap
 
 
 def accuracy(probe: ProbeModel, encoded: EncodedDataset) -> float:

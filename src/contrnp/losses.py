@@ -40,18 +40,11 @@ class LossBreakdown:
 
 
 def contrastive_loss(reps, cfg: ContrastiveConfig) -> Tensor:
-    """Contrastive loss over the Representations reps[k][m] (K segments x
-    M views)."""
-    k_n = len(reps)
-    if k_n < 2:
-        raise ValueError("contrastive loss needs K >= 2 segments")
-    m_n = len(reps[0])
-    if m_n < 2:
-        raise ValueError("contrastive loss needs M >= 2 views per segment")
+    """Contrastive loss over the Representations reps[k][m] (K >= 2 segments
+    x M >= 2 views, as TrainConfig's k_per_batch and m guarantee)."""
+    k_n, m_n = len(reps), len(reps[0])
     rows = []
     for k in range(k_n):
-        if len(reps[k]) != m_n:
-            raise ValueError("ragged view counts across segments")
         for m in range(m_n):
             t = reps[k][m].r
             if np.linalg.norm(t.data) == 0.0:
@@ -100,9 +93,8 @@ def gaussian_nll(pred: GaussianPrediction, target_y) -> Tensor:
 def combined_loss(preds: list[GaussianPrediction], targets: list,
                   reps, lam: float, cfg: ContrastiveConfig) -> LossBreakdown:
     """lambda * mean per-view NLL + contrastive term."""
-    if len(preds) != len(targets):
-        raise ValueError("one prediction per target set required")
-    nll_terms = [gaussian_nll(p, t) for p, t in zip(preds, targets)]
+    nll_terms = [gaussian_nll(p, t)
+                 for p, t in zip(preds, targets, strict=True)]
     nll = ad.concat([t.reshape(1) for t in nll_terms])
     nll = ad.mean_axis(nll)
     contr = contrastive_loss(reps, cfg)

@@ -145,10 +145,9 @@ class ConvCnpModel:
     def encode(self, channels: Tensor) -> tuple[Tensor, Representation]:
         """CNN over the grid embedding; returns grid features and pooled rep."""
         c = self.config
-        pad = (c.cnn_kernel - 1) // 2
         h = ad.transpose(channels).reshape(1, 1 + c.n_channels, c.grid_size)
         for i in range(c.cnn_depth):
-            z = ad.conv1d(h, self.params[f"conv{i}_w"], padding=pad)
+            z = ad.conv1d(h, self.params[f"conv{i}_w"])
             z = z + self.params[f"conv{i}_b"].reshape(1, c.cnn_width, 1)
             z = ad.relu(z)
             h = z + h if h.shape == z.shape else z

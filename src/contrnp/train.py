@@ -79,8 +79,6 @@ class TrainLog:
     records: list = field(default_factory=list)  # (step, nll, contr, total, ms)
 
     def append(self, step, nll, contrastive, total, wall_ms):
-        if self.records and step <= self.records[-1][0]:
-            raise ValueError("step index must be monotone")
         self.records.append((step, nll, contrastive, total, wall_ms))
 
     def write_csv(self, path):
@@ -113,8 +111,6 @@ class Adam:
     def step(self):
         self.t += 1
         for k, p in self.params.items():
-            if p.grad is None:
-                raise ValueError(f"parameter '{k}' has no gradient")
             g = p.grad
             self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
             self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
@@ -124,13 +120,12 @@ class Adam:
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
-    total = np.sqrt(sum(float(np.sum(p.grad ** 2))
-                        for p in params.values() if p.grad is not None))
+    # zero_grad gives every parameter a gradient; returns the norm before
+    total = np.sqrt(sum(float(np.sum(p.grad ** 2)) for p in params.values()))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
         for p in params.values():
-            if p.grad is not None:
-                p.grad *= scale
+            p.grad *= scale
     return total
 
 

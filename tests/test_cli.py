@@ -20,6 +20,8 @@ from conftest import flip_byte_in
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = README.parent / "src"
+# an executable's first bytes: 0x80 to 0xBF never start a UTF-8 character
+NON_UTF8_BYTES = b"\x7fELF\x02\x01\x01" + bytes(range(193))
 
 
 SMALL_CONFIG = """
@@ -276,6 +278,16 @@ class TestEval:
                    "--data", str(dataset), "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_non_utf8_csv_is_data_error(self, tmp_path, trained, capsys):
+        bad = tmp_path / "binary.csv"
+        bad.write_bytes(NON_UTF8_BYTES)
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(trained / "model.ckpt"),
+                   "--data", str(bad), "--out", str(tmp_path / "ev")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+
 
 class TestSweepLabels:
     def test_fraction_csv(self, tmp_path, dataset, trained):
@@ -439,6 +451,17 @@ BAD_FLAGS = [
     ("sweep-labels", "--fractions", "", "bad --fractions: no fraction given"),
     ("synth", "--classes", "nan",
      "argument --classes: invalid int value: 'nan'"),
+    ("synth", "--classes", "1", "--classes must be >= 2, got 1"),
+    ("synth", "--segments", "0", "--segments must be >= 1, got 0"),
+    ("synth", "--window", "1", "--window must be >= 2, got 1"),
+    ("eval", "--label-fraction", "0",
+     "--label-fraction must be in (0, 1], got 0.0"),
+    ("eval", "--label-fraction", "1.5",
+     "--label-fraction must be in (0, 1], got 1.5"),
+    ("eval", "--label-fraction", "nan",
+     "--label-fraction must be in (0, 1], got nan"),
+    ("sweep-labels", "--fractions", "0.5,2",
+     "--fractions must be in (0, 1], got 2.0"),
 ]
 
 # Values per numeric flag of the commands other than train: zero, negative,
@@ -507,12 +530,18 @@ def fuzz_run(fuzz_dir):
 
 def command_argv(command, fuzz_dir, fuzz_run):
     """A valid call of `command` on the fuzz dataset and checkpoint."""
+    if command == "train":
+        return ["train", "--config", fuzz_dir / "trained.cfg",
+                "--data", fuzz_dir / "data.csv", "--out", fuzz_dir / "train"]
     if command == "synth":
         return ["synth", "--classes", "2", "--segments", "2", "--window",
                 "20", "--out", fuzz_dir / "synth" / "data.csv"]
-    out = fuzz_dir / (command + ".csv" if command == "forecast" else command)
+    if command == "forecast":  # a window holds about 31 points in (a, b)
+        return ["forecast", "--checkpoint", fuzz_run / "model.ckpt",
+                "--data", fuzz_dir / "data.csv", "--n-context", "8",
+                "--out", fuzz_dir / "forecast.csv"]
     return [command, "--checkpoint", fuzz_run / "model.ckpt",
-            "--data", fuzz_dir / "data.csv", "--out", out]
+            "--data", fuzz_dir / "data.csv", "--out", fuzz_dir / command]
 
 
 @pytest.mark.parametrize("command, flag, value, message", BAD_FLAGS,
@@ -531,6 +560,114 @@ def test_fuzzed_flags_end_in_exit_code(fuzz_dir, fuzz_run, case):
     command, flags = case
     argv = command_argv(command, fuzz_dir, fuzz_run)
     rc, err = run_main(argv + [x for pair in flags.items() for x in pair])
+    assert rc in (0, 1, 2, 3)
+    if rc:
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
+# (command, path flag, what stands at the path): a directory where a file
+# is read or written, or a file where a directory is made; each ended in a
+# raw OSError traceback
+PATH_CASES = [
+    ("train", "--data", "directory"), ("train", "--out", "file"),
+    ("eval", "--checkpoint", "directory"), ("eval", "--data", "directory"),
+    ("eval", "--out", "file"), ("sweep-labels", "--out", "file"),
+    ("forecast", "--out", "directory"), ("synth", "--out", "directory"),
+]
+
+
+@pytest.mark.parametrize("command, flag, kind", PATH_CASES,
+                         ids=[f"{c}{f}={k}" for c, f, k in PATH_CASES])
+def test_bad_path_is_data_error(tmp_path, fuzz_dir, fuzz_run, command, flag,
+                                kind):
+    argv = [str(a) for a in command_argv(command, fuzz_dir, fuzz_run)]
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_text("")
+    argv[argv.index(flag) + 1] = str(path)
+    rc, err = run_main(argv)
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+# Mutations of the fuzz dataset's CSV. Each is (kind, at, pick): `at` picks
+# the row, cell or byte offset and `pick` the replacement. `time_jump` adds
+# 1e6 to every time from a row on, so the window across the jump holds too
+# few points in (a, b) for the context sizes; `truncate` keeps few enough
+# rows for too few or too short windows.
+BAD_HEADERS = ["", "t,ch0,label", "time", "time,label", "\ufefftime,ch0,label",
+               "time,ch0,label,extra"]
+BAD_CELLS = ["nan", "inf", "-inf", "", "x", "1e999", "0x10"]
+BAD_BYTES = [b"\xff", b"\xc3\x28", b"\x80", b"\xed\xa0\x80", NON_UTF8_BYTES]
+CSV_KINDS = ["header", "short_row", "blank_lines", "non_monotone", "bad_cell",
+             "non_utf8", "time_jump", "truncate"]
+
+
+def mutate_csv(text, mutations):
+    """The CSV `text` with each (kind, at, pick) mutation applied in turn,
+    non-UTF-8 bytes last."""
+    rows = [line.split(",") for line in text.splitlines()]
+    for kind, at, pick in mutations:
+        i = 1 + at % (len(rows) - 1) if len(rows) > 1 else 0
+        row = rows[i]
+        if kind == "header":
+            rows[0] = BAD_HEADERS[pick % len(BAD_HEADERS)].split(",")
+        elif kind == "short_row" and len(row) > 1:
+            row.pop()
+        elif kind == "blank_lines":
+            rows[i:i] = [[""] for _ in range(1 + pick % 3)]
+        elif kind == "non_monotone" and i > 1:
+            row[0] = rows[i - 1][0]
+        elif kind == "bad_cell":
+            row[pick % len(row)] = BAD_CELLS[pick % len(BAD_CELLS)]
+        elif kind == "time_jump":
+            for later in rows[i:]:
+                with contextlib.suppress(ValueError):
+                    later[0] = repr(float(later[0]) + 1e6)
+        elif kind == "truncate":
+            del rows[1 + at % 200:]
+    data = "".join(",".join(r) + "\n" for r in rows).encode()
+    for kind, at, pick in mutations:
+        if kind == "non_utf8":
+            cut = at % (len(data) + 1)
+            data = data[:cut] + BAD_BYTES[pick % len(BAD_BYTES)] + data[cut:]
+    return data
+
+
+csv_mutations = st.lists(st.tuples(st.sampled_from(CSV_KINDS),
+                                   st.integers(0, 10_000), st.integers(0, 50)),
+                         min_size=1, max_size=3)
+
+
+# one of each kind; the cells are a `nan` time, an `inf` value and a
+# `-inf` label, and the bytes are the 200 of NON_UTF8_BYTES
+PINNED_MUTATIONS = [
+    ("header", 100, 4), ("short_row", 100, 0), ("blank_lines", 100, 1),
+    ("non_monotone", 100, 0), ("bad_cell", 100, 0), ("bad_cell", 100, 1),
+    ("bad_cell", 100, 2), ("non_utf8", 100, 4), ("time_jump", 100, 0),
+    ("truncate", 100, 0)]
+
+
+def pin_csv_mutations(test):
+    for command in ("train", "eval"):
+        for mutation in PINNED_MUTATIONS:
+            test = example(command=command, mutations=[mutation])(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["train", "eval"]), mutations=csv_mutations)
+@pin_csv_mutations
+def test_fuzzed_csv_ends_in_exit_code(fuzz_dir, fuzz_run, command,
+                                      mutations):
+    data = fuzz_dir / "mutated.csv"
+    data.write_bytes(mutate_csv((fuzz_dir / "data.csv").read_text(),
+                                mutations))
+    argv = command_argv(command, fuzz_dir, fuzz_run)
+    argv[argv.index("--data") + 1] = data
+    rc, err = run_main(argv)
     assert rc in (0, 1, 2, 3)
     if rc:
         assert len(err) == 1 and err[0].startswith("error: ")

@@ -13,16 +13,6 @@ def make_series(t=20, c=1):
     return TimeSeries(x, y)
 
 
-class TestTimeSeries:
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            TimeSeries(np.array([]), np.array([]))
-
-    def test_non_monotone_rejected(self):
-        with pytest.raises(DataError, match="increasing"):
-            TimeSeries([0.0, 2.0, 1.0], [1.0, 2.0, 3.0])
-
-
 class TestSegmentize:
     def test_single_full_window(self):
         series = make_series(2500)
@@ -49,7 +39,7 @@ class TestSegmentize:
         np.testing.assert_array_equal(seg.y, series.y[5:10])
 
     def test_majority_label(self):
-        series = TimeSeries(np.arange(5.0), np.ones(5),
+        series = TimeSeries(np.arange(5.0), np.ones((5, 1)),
                             labels=np.array([0, 1, 1, 1, 0]))
         assert segmentize(series, 5, 5)[0].label == 1
 
@@ -58,7 +48,7 @@ class TestSampleViews:
     def seg(self, n=200):
         x = np.linspace(0, 1, n)
         return segmentize(TimeSeries(np.arange(n, dtype=float),
-                                     np.sin(6 * x)), n, n)[0]
+                                     np.sin(6 * x)[:, None]), n, n)[0]
 
     def test_context_within_thresholds(self, rng):
         views = sample_views(self.seg(), 3, 0.25, 0.75, (40, 40), rng)
@@ -101,11 +91,6 @@ class TestMakeBatch:
         assert len(batch.views) == 8 and len(batch.views[0]) == 2
         assert sum(len(v) for v in batch.views) == 16
 
-    def test_single_segment_rejected(self, rng):
-        segs = synth_generate(2, 1, 100, 0.0, rng)
-        with pytest.raises(DataError, match="K >= 2"):
-            make_batch(segs[:1], 2, 0.25, 0.75, (10, 20), rng)
-
     def test_fixed_seed_identical_batches(self, rng):
         segs = synth_generate(2, 2, 100, 0.0, rng)
         b1 = make_batch(segs, 2, 0.25, 0.75, (10, 20),
@@ -119,14 +104,14 @@ class TestMakeBatch:
 class TestSynthGenerate:
     def test_noiseless_sine_is_exact(self):
         rng = np.random.default_rng(0)
-        seg = synth_generate(2, 1, 100, 0.0, rng, amp_range=(1.0, 1.0))[0]
-        # class 0 is a sine at the base frequency of 3; recover its phase
-        phase = np.arctan2(seg.y[0, 0],
-                           (seg.y[1, 0] - seg.y[0, 0] * np.cos(
-                               2 * np.pi * 3 * seg.x[1])) /
-                           np.sin(2 * np.pi * 3 * seg.x[1]))
-        np.testing.assert_allclose(
-            seg.y[:, 0], np.sin(2 * np.pi * 3 * seg.x + phase), atol=1e-9)
+        seg = synth_generate(2, 1, 100, 0.0, rng)[0]
+        # class 0 is amp * sin(2 pi 3 x + phase); least squares over the
+        # basis sin, cos recovers amp cos(phase) and amp sin(phase)
+        t = 2 * np.pi * 3 * seg.x
+        basis = np.stack([np.sin(t), np.cos(t)], axis=1)
+        coef = np.linalg.lstsq(basis, seg.y[:, 0], rcond=None)[0]
+        assert 0.8 <= np.hypot(*coef) <= 1.2
+        assert np.abs(basis @ coef - seg.y[:, 0]).max() <= 1e-9
 
     def test_segment_count(self, rng):
         assert len(synth_generate(4, 50, 64, 0.1, rng)) == 200
@@ -137,10 +122,6 @@ class TestSynthGenerate:
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.y, sb.y)
 
-    def test_one_class_rejected(self, rng):
-        with pytest.raises(DataError):
-            synth_generate(1, 5, 64, 0.1, rng)
-
 
 class TestCsv:
     def test_roundtrip(self, tmp_path, rng):
@@ -148,15 +129,16 @@ class TestCsv:
         series = segments_to_series(segs)
         path = tmp_path / "data.csv"
         write_csv(series, path)
-        loaded = load_csv(path, normalize=False)
+        loaded = load_csv(path)
+        z = (series.y - series.y.mean(axis=0)) / series.y.std(axis=0)
         np.testing.assert_array_equal(loaded.x, series.x)
-        np.testing.assert_array_equal(loaded.y, series.y)
+        np.testing.assert_allclose(loaded.y, z, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(loaded.labels, series.labels)
 
     def test_three_line_file(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("time,ch0\n0,1.5\n1,2.5\n2,3.5\n")
-        ts = load_csv(p, normalize=False)
+        ts = load_csv(p)
         assert len(ts.x) == 3
 
     def test_constant_channel_normalizes_to_zero(self, tmp_path):
@@ -198,6 +180,16 @@ class TestCsv:
         with pytest.raises(DataError) as e:
             load_csv(p)
         assert str(e.value) == f"{p}:5: time not strictly increasing"
+
+    @pytest.mark.parametrize("content", [
+        b"time,ch0\n0,1\n1,\xff\n", b"\x7fELF\x02\x01\x01" + bytes(range(193)),
+        b"time,ch0\n0," + b"1" * 200_000 + b"\n"],
+        ids=["bad_byte", "binary", "field_over_csv_limit"])
+    def test_unreadable_text_names_path(self, tmp_path, content):
+        p = tmp_path / "t.csv"
+        p.write_bytes(content)
+        with pytest.raises(DataError, match=f"^{p}: "):
+            load_csv(p)
 
     def test_parse_error_cites_line(self, tmp_path):
         p = tmp_path / "t.csv"

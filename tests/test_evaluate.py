@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from contrnp.data import sample_views, synth_generate
 from contrnp.evaluate import (EncodedDataset, EvalError, ProbeModel, accuracy,
-                              auprc, davies_bouldin, extract, holdout_split,
-                              silhouette, train_probe)
+                              auprc, davies_bouldin, evaluate_split, extract,
+                              holdout_split, silhouette, train_probe)
 from contrnp.model import (ConvCnpModel, ModelConfig, load_checkpoint,
                            save_checkpoint)
 
@@ -142,6 +144,15 @@ class TestProbe:
         enc = blobs(rng, n_classes=2, per_class=3)
         with pytest.raises(EvalError, match="absent"):
             train_probe(enc, 0.1, rng)
+
+    def test_empty_test_set_is_error_without_warnings(self, rng):
+        # round(0.2 * 2) = 0 test rows per class; numpy's warnings about the
+        # accuracy of no rows would reach stderr ahead of the error line
+        enc = blobs(rng, n_classes=2, per_class=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvalError, match="single-class"):
+                evaluate_split(enc, 0.8, rng)
 
     def test_label_fraction_one_uses_all(self, rng):
         enc = blobs(rng, n_classes=2, per_class=20)

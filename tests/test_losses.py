@@ -94,11 +94,6 @@ class TestContrastiveLoss:
         with pytest.raises(ValueError, match="zero-norm"):
             contrastive_loss(reps, ContrastiveConfig())
 
-    def test_k1_rejected(self, rng):
-        with pytest.raises(ValueError, match="K >= 2"):
-            contrastive_loss(rep_tensors(random_vectors(rng, 1, 2)),
-                             ContrastiveConfig())
-
     def test_literal_mode_matches_printed_formula(self, rng):
         # all-positive similarities so the printed form is defined
         vecs = [[np.abs(rng.standard_normal(4)) + 0.1 for _ in range(2)]
