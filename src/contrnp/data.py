@@ -190,7 +190,7 @@ def load_csv(path) -> TimeSeries:
     Every rule on the file's contents lives here: a malformed, non-UTF-8,
     non-finite or non-monotone file is a DataError that names the path."""
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.reader(f)
             try:
                 header = next(reader)

@@ -123,9 +123,18 @@ def train_probe(encoded: EncodedDataset, label_fraction: float,
 def holdout_split(encoded: EncodedDataset,
                   rng) -> tuple[EncodedDataset, EncodedDataset]:
     """Stratified hold-out: (train set, test set) with HOLDOUT_FRACTION of
-    each class in the test set."""
+    each class in the test set; an EvalError when that is under 2 classes."""
     test_idx, train_idx = stratified_indices(encoded.labels, HOLDOUT_FRACTION,
                                              rng)
+    n_test = len(np.unique(encoded.labels[test_idx]))
+    if n_test < 2:
+        classes, counts = np.unique(encoded.labels, return_counts=True)
+        per_class = ", ".join(f"{c}: {n}" for c, n in zip(classes, counts))
+        raise EvalError(
+            f"the hold-out test set would hold {n_test} class(es), not >= 2: "
+            f"a class needs >= 3 segments for a test segment "
+            f"(round({HOLDOUT_FRACTION} * n) >= 1); segments per class "
+            f"{{{per_class}}}")
     return (EncodedDataset(encoded.reps[train_idx], encoded.labels[train_idx]),
             EncodedDataset(encoded.reps[test_idx], encoded.labels[test_idx]))
 
@@ -137,8 +146,7 @@ def evaluate_split(encoded: EncodedDataset, label_fraction: float,
     AUPRC). The split and the probe draw from `rng` in that order."""
     train_set, test_set = holdout_split(encoded, rng)
     probe = train_probe(train_set, label_fraction, rng)
-    ap = auprc(probe, test_set)  # first: it refuses a single-class test set
-    return accuracy(probe, test_set), ap
+    return accuracy(probe, test_set), auprc(probe, test_set)
 
 
 def accuracy(probe: ProbeModel, encoded: EncodedDataset) -> float:

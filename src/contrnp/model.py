@@ -117,6 +117,8 @@ class ConvCnpModel:
                                        c.decoder_hidden)
         p["dec_sig_b"] = _uniform_init(rng, (c.n_channels,), c.decoder_hidden)
         self.params = p
+        # (raw_len_out, its value and requires_grad, targets, smoother)
+        self._smoothed = None
 
     # -- forward pieces -----------------------------------------------------
 
@@ -164,9 +166,7 @@ class ConvCnpModel:
         if target_x.min() < lo or target_x.max() > hi:
             raise ValueError(
                 f"target x outside grid span [{lo:.3f}, {hi:.3f}]")
-        ell = ad.softplus(self.params["raw_len_out"])
-        d2 = (target_x[:, None] - self.grid_x[None, :]) ** 2           # [T, G]
-        qn = ad.rbf(d2, ell, normalize=True)
+        qn = self._smoother(target_x)
         # qn @ (grid_features @ W1) == (qn @ grid_features) @ W1, with the
         # [G, H] x [H, hidden] product in place of a [T, H] x [H, hidden] one
         p = self.params
@@ -178,6 +178,23 @@ class ConvCnpModel:
         mu, pre_sigma = head[:, :c], head[:, c:]
         sigma = ad.softplus(pre_sigma) + SIGMA_MIN
         return GaussianPrediction(mu, sigma)
+
+    def _smoother(self, target_x: np.ndarray) -> Tensor:
+        """The row-normalised RBF smoother [T, G] from the grid onto the
+        targets. The last one is kept and reused while its inputs are
+        unchanged: the same raw_len_out Tensor, with an equal value and the
+        same requires_grad, and equal targets. The K*M views of a step share
+        their targets, so they share one node, whose backward runs once on
+        the sum of their adjoints."""
+        raw = self.params["raw_len_out"]
+        key = (float(raw.data), raw.requires_grad)
+        memo = self._smoothed
+        if (memo is None or memo[0] is not raw or memo[1] != key
+                or not np.array_equal(memo[2], target_x)):
+            d2 = (target_x[:, None] - self.grid_x[None, :]) ** 2       # [T, G]
+            qn = ad.rbf(d2, ad.softplus(raw), normalize=True)
+            memo = self._smoothed = (raw, key, target_x.copy(), qn)
+        return memo[3]
 
     def predict(self, context_x, context_y, target_x) -> GaussianPrediction:
         grid_features, _ = self.encode(self.embed_context(context_x, context_y))

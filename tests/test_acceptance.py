@@ -6,7 +6,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines interleaved with pytest's own output.
 """
 
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,7 +65,18 @@ def sine_dataset(n=40, window=160, freq=2.0, seed=0):
             for k in range(n)]
 
 
+def frozen(model):
+    """The model as `contrnp eval` and `forecast` see it: saved and loaded
+    back, so its parameters require no gradient and its forward passes
+    record no tape. Forward values are the same."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(model, {}, path)
+        return load_checkpoint(path)[0]
+
+
 def forecast_rmse(model, segments, n_context=40, n_segments=10, seed=123):
+    model = frozen(model)
     errs = []
     rng = np.random.default_rng(seed)
     for seg in segments[:n_segments]:
@@ -74,7 +87,7 @@ def forecast_rmse(model, segments, n_context=40, n_segments=10, seed=123):
 
 
 def encoded_split(model, segments, seed_extract=7, seed_split=11):
-    enc = extract(model, segments, EVAL_M, 0.25, 0.75, EVAL_CTX,
+    enc = extract(frozen(model), segments, EVAL_M, 0.25, 0.75, EVAL_CTX,
                   np.random.default_rng(seed_extract))
     tr, te = holdout_split(enc, np.random.default_rng(seed_split))
     return tr, te, enc

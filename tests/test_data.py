@@ -135,6 +135,18 @@ class TestCsv:
         np.testing.assert_allclose(loaded.y, z, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(loaded.labels, series.labels)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, rng):
+        # spreadsheet exports start the file with a UTF-8 byte-order mark
+        plain = tmp_path / "plain.csv"
+        write_csv(segments_to_series(synth_generate(2, 3, 50, 0.1, rng)),
+                  plain)
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = load_csv(plain), load_csv(marked)
+        for field in ("x", "y", "labels"):
+            np.testing.assert_array_equal(getattr(got, field),
+                                          getattr(want, field))
+
     def test_three_line_file(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("time,ch0\n0,1.5\n1,2.5\n2,3.5\n")

@@ -151,7 +151,8 @@ class TestProbe:
         enc = blobs(rng, n_classes=2, per_class=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EvalError, match="single-class"):
+            with pytest.raises(EvalError, match=r"would hold 0 class\(es\).*"
+                               r">= 3 segments.*\{0: 2, 1: 2\}"):
                 evaluate_split(enc, 0.8, rng)
 
     def test_label_fraction_one_uses_all(self, rng):

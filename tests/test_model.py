@@ -4,6 +4,7 @@ import pytest
 from contrnp import autodiff as ad
 from contrnp.autodiff import Tensor
 from contrnp.losses import gaussian_nll
+from contrnp.train import Adam
 from contrnp.model import (DENSITY_EPS, CheckpointError, ConvCnpModel,
                            GaussianPrediction, ModelConfig, SIGMA_MIN,
                            load_checkpoint, save_checkpoint)
@@ -214,6 +215,143 @@ class TestComposedOracle:
             assert scale > 0, name
             err = np.max(np.abs(got - want)) / scale
             assert err <= 1e-12, f"{name}: relative error {err:.3g}"
+
+
+def twin(config, model=None):
+    """A fresh model of `config` with an empty smoother memo: the
+    parameters of `model`, copied, or else the seed-5 initialisation."""
+    fresh = ConvCnpModel(config, np.random.default_rng(5))
+    for name, p in (model.params if model else {}).items():
+        fresh.params[name].data = p.data.copy()
+    return fresh
+
+
+def lengthscale_grad(model, x, y, tx):
+    """mu of one prediction and the gradient of sum(mu) that reaches the
+    model's raw_len_out."""
+    pred = model.predict(x, y, tx)
+    for p in model.params.values():
+        p.zero_grad()
+    ad.sum_axis(pred.mu).backward()
+    return pred.mu.data, float(model.params["raw_len_out"].grad)
+
+
+def set_lengthscale_in_place(model, x, y, tx):
+    model.params["raw_len_out"].data[...] = -1.5
+
+
+def adam_step(model, x, y, tx):
+    opt = Adam(model.params, lr=0.05)
+    opt.zero_grad()
+    pred = model.predict(x, y, tx)
+    ad.mean_axis(pred.mu * pred.mu).backward()
+    opt.step()
+
+
+def replace_lengthscale_tensor(model, x, y, tx):
+    # the same value: only the gradient shows which Tensor the smoother uses
+    old = model.params["raw_len_out"]
+    model.params["raw_len_out"] = Tensor(old.data.copy(), requires_grad=True)
+
+
+def shift_targets_in_place(model, x, y, tx):
+    tx -= 0.05
+
+
+def unfreeze_lengthscale(model, x, y, tx):
+    # a smoother made while raw_len_out is frozen passes it no gradient
+    raw = model.params["raw_len_out"]
+    raw.requires_grad = False
+    model.predict(x, y, tx[::2])
+    model.predict(x, y, tx)
+    raw.requires_grad = True
+
+
+STALE_MEMO_CHANGES = [set_lengthscale_in_place, adam_step,
+                      replace_lengthscale_tensor, shift_targets_in_place,
+                      unfreeze_lengthscale]
+
+
+class TestSharedSmoother:
+    """The views of a step share one smoother node while its inputs are
+    unchanged; sharing gives the per-view decode's values and gradients."""
+
+    @staticmethod
+    def views(rng, n_channels):
+        shared = np.linspace(0.0, 1.0, 150)
+        other = np.sort(rng.uniform(0.0, 1.0, 150))
+        out = []
+        for tx in (shared, shared.copy(), other, shared):
+            x = np.sort(rng.uniform(0.25, 0.75, 20))
+            out.append((x, rng.standard_normal((20, n_channels)), tx,
+                        rng.standard_normal((150, n_channels))))
+        return out
+
+    @staticmethod
+    def loss(model, views):
+        preds, terms = [], []
+        for x, y, tx, ty in views:
+            grid_features, rep = model.encode(model.embed_context(x, y))
+            preds.append(model.decode(grid_features, tx))
+            terms += [gaussian_nll(preds[-1], ty), ad.mean_axis(rep.r * rep.r)]
+        total = terms[0]
+        for t in terms[1:]:
+            total = total + t
+        return preds, total
+
+    @pytest.mark.parametrize("n_channels", [1, 3])
+    def test_matches_per_view_decode(self, rng, n_channels):
+        config = ModelConfig(**{**SMALL.__dict__, "n_channels": n_channels})
+        views = self.views(rng, n_channels)
+        model = twin(config)
+        preds, total = self.loss(model, views)
+        total.backward()
+        want_grads = {k: 0.0 for k in model.params}
+        for view, pred in zip(views, preds):
+            alone = twin(config)
+            (want,), loss = self.loss(alone, [view])
+            loss.backward()
+            for k, p in alone.params.items():
+                want_grads[k] = want_grads[k] + p.grad
+            np.testing.assert_array_equal(pred.mu.data, want.mu.data)
+            np.testing.assert_array_equal(pred.sigma.data, want.sigma.data)
+        for k, p in model.params.items():
+            scale = np.max(np.abs(want_grads[k]))
+            assert scale > 0, k
+            err = np.max(np.abs(p.grad - want_grads[k])) / scale
+            assert err <= 1e-12, f"{k}: relative error {err:.3g}"
+
+    def test_equal_targets_share_one_node(self, model):
+        tx = np.linspace(0.0, 1.0, 50)
+        assert model._smoother(tx) is model._smoother(tx.copy())
+
+    def test_lengthscale_gradient_finite_differences(self, rng):
+        model = ConvCnpModel(ModelConfig(grid_size=8, cnn_depth=2,
+                                         cnn_width=3, d_r=4, decoder_hidden=3,
+                                         cnn_kernel=3), rng)
+        (x1, y1), (x2, y2) = sine_context(rng, n=5), sine_context(rng, n=6)
+        tx = np.linspace(0, 1, 7)
+
+        def build():
+            a = model.predict(x1, y1, tx)
+            b = model.predict(x2, y2, tx)
+            return (ad.mean_axis(a.mu * b.mu)
+                    + ad.mean_axis(ad.log(a.sigma) * b.sigma))
+
+        check_grads(build, [model.params["raw_len_out"]], tol=1e-6)
+
+    @pytest.mark.parametrize("change", STALE_MEMO_CHANGES,
+                             ids=lambda f: f.__name__)
+    def test_no_stale_smoother(self, rng, change):
+        model = twin(SMALL)
+        x, y = sine_context(rng)
+        tx = np.linspace(0.1, 0.9, 40)
+        model.predict(x, y, tx)
+        change(model, x, y, tx)
+        fresh = twin(SMALL, model)
+        got, want = (lengthscale_grad(m, x, y, tx) for m in (model, fresh))
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
 
 
 class TestCheckpoint:
