@@ -88,21 +88,27 @@ class Tensor:
         # A leaf takes each adjoint into its own .grad as it arrives; other
         # nodes wait in `pending`. A node is created after its operands, so
         # popping the latest-created one finds all of its consumers done.
-        adjoint, pending = {}, []
+        # A first arrival stays untouched, since ops pass one array on to
+        # several parents; the sum of two is a fresh array, kept in `owned`,
+        # that takes later arrivals in place.
+        adjoint, owned, pending = {}, set(), []
         arrivals = [(self, np.ones_like(self.data))]
         while True:
             for p, pg in arrivals:
                 if pg is None or not p.requires_grad:
                     continue
+                key = id(p)
                 if p._backward_fn is None:
                     if p.grad is None:
                         p.grad = np.zeros_like(p.data)
                     p.grad += pg
-                elif id(p) in adjoint:
-                    # not in place: ops pass one array on to several parents
-                    adjoint[id(p)] = adjoint[id(p)] + pg
+                elif key in owned:
+                    adjoint[key] += pg
+                elif key in adjoint:
+                    adjoint[key] = adjoint[key] + pg
+                    owned.add(key)
                 else:
-                    adjoint[id(p)] = pg
+                    adjoint[key] = pg
                     heapq.heappush(pending, (-p._order, p))
             if not pending:
                 break
@@ -290,29 +296,55 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         a.data.T @ g if b.requires_grad else None))
 
 
-def rbf(d2: np.ndarray, ell: Tensor, normalize: bool = False) -> Tensor:
-    """RBF weights exp(-d2 / 2 ell^2) of constant squared distances d2[N, M]
-    and a scalar lengthscale; with `normalize`, each row divided by its sum.
+def rbf(d2: np.ndarray, ell: Tensor) -> Tensor:
+    """Row-normalised RBF weights of constant squared distances d2[N, M]
+    and a scalar lengthscale: exp(-d2 / 2 ell^2), each row divided by its
+    sum.
 
     One node in place of the exp/sum/div chain: its only gradient is the
-    scalar ell's, G.(q d2) / ell^3, where normalising replaces d2 by
-    d2 - rowsum(q d2)."""
+    scalar ell's, G.(q (d2 - rowsum(q d2))) / ell^3."""
     # in place: fresh [N, M] temporaries cost more than the arithmetic
     q = d2 * -0.5
     q /= ell.data * ell.data
     np.exp(q, out=q)
-    if normalize:
-        q /= q.sum(axis=1, keepdims=True)
+    q /= q.sum(axis=1, keepdims=True)
 
     def backward(g):
-        if normalize:
-            dq = d2 - np.einsum("ij,ij->i", q, d2)[:, None]
-            dq *= q
-        else:
-            dq = d2 * q
+        dq = d2 - np.einsum("ij,ij->i", q, d2)[:, None]
+        dq *= q
         return (np.vdot(g, dq) / ell.data ** 3,)
 
     return _make(q, (ell,), backward)
+
+
+def set_conv(d2: np.ndarray, y: np.ndarray, ell: Tensor,
+             eps: float) -> Tensor:
+    """RBF set convolution of constant values y[N, C] at squared distances
+    d2[G, N], with w = exp(-d2 / 2 ell^2): [G, 1 + C] channels, the density
+    rowsum(w) first, then the signal (w @ y) / (density + eps).
+
+    One node in place of the rbf/sum/matmul/div/concat chain. Its only
+    gradient is the scalar ell's, (Gw . (w d2)) / ell^3, where the weights'
+    adjoint is Gw = G_den + (G_sig / (den + eps)) @ y^T
+    - rowsum(G_sig sig / (den + eps))."""
+    w = d2 * -0.5
+    w /= ell.data * ell.data
+    np.exp(w, out=w)
+    den = w.sum(axis=1, keepdims=True)
+    den_eps = den + eps
+    out = np.empty((w.shape[0], 1 + y.shape[1]))
+    out[:, :1] = den
+    sig = out[:, 1:]
+    np.divide(w @ y, den_eps, out=sig)
+
+    def backward(g):
+        gs = g[:, 1:] / den_eps
+        gw = gs @ y.T
+        gw += g[:, :1] - np.einsum("ij,ij->i", gs, sig)[:, None]
+        gw *= w
+        return (np.vdot(gw, d2) / ell.data ** 3,)
+
+    return _make(out, (ell,), backward)
 
 
 def _im2col(xp: np.ndarray, W: int, L_out: int) -> np.ndarray:
@@ -320,18 +352,20 @@ def _im2col(xp: np.ndarray, W: int, L_out: int) -> np.ndarray:
     xp[:, c, w:w + L_out], matching kernel.reshape(C_out, C*W)."""
     B, C, _ = xp.shape
     s0, s1, s2 = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(B, C, W, L_out), strides=(s0, s1, s2, s2), writeable=False)
+    # a direct view: much cheaper per call than as_strided
+    windows = np.ndarray((B, C, W, L_out), xp.dtype, xp, 0, (s0, s1, s2, s2))
     return windows.reshape(B, C * W, L_out)
 
 
-def conv1d(x: Tensor, kernel: Tensor) -> Tensor:
+def _conv(x: Tensor, kernel: Tensor):
     """Cross-correlation of x[B,C,L] with kernel[C_out,C,W] for an odd W,
     zero-padded by (W - 1) / 2 on each side so the output keeps length L.
 
     Lowered to one matrix product per pass (im2col): the output is
-    kernel[C_out, C*W] @ columns[B, C*W, L]. The backward pass rebuilds
-    the columns from the padded input rather than keeping them alive."""
+    kernel[C_out, C*W] @ columns[B, C*W, L]. Returns the output array and
+    the backward that maps its adjoint to (gx, gkernel); the backward
+    rebuilds the columns from the padded input rather than keeping them
+    alive."""
     if x.ndim != 3 or kernel.ndim != 3:
         raise ShapeMismatchError(
             f"conv1d expects x[B,C,L], kernel[C_out,C,W]; "
@@ -358,4 +392,36 @@ def conv1d(x: Tensor, kernel: Tensor) -> Tensor:
             gxp[:, :, w:w + L] += gcols[:, :, w]
         return (gxp[:, :, pad:pad + L], gk)
 
+    return out, backward
+
+
+def conv1d(x: Tensor, kernel: Tensor) -> Tensor:
+    """Same-padded cross-correlation of x[B,C,L] with kernel[C_out,C,W],
+    W odd: see `_conv`."""
+    out, backward = _conv(x, kernel)
     return _make(out, (x, kernel), backward)
+
+
+def conv_block(h: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+    """One residual CNN layer as one node: relu(conv1d(h, kernel) + bias),
+    plus h when the shapes match; bias[C_out] is added per channel.
+
+    The bias, relu and residual are applied in place on the GEMM output;
+    backward masks the adjoint once, sums it for the bias and adds it to
+    the input's adjoint for the residual."""
+    out, conv_backward = _conv(h, kernel)
+    out += bias.data[:, None]
+    mask = out > 0
+    np.maximum(out, 0.0, out=out)
+    residual = out.shape == h.shape
+    if residual:
+        out += h.data
+
+    def backward(g):
+        gz = g * mask
+        gh, gk = conv_backward(gz)
+        if residual:
+            gh += g
+        return gh, gk, gz.sum(axis=(0, 2))
+
+    return _make(out, (h, kernel, bias), backward)

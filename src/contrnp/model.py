@@ -137,22 +137,17 @@ class ConvCnpModel:
             raise ValueError(
                 f"context x outside grid span [{lo:.3f}, {hi:.3f}]")
 
-        ell = ad.softplus(self.params["raw_len_in"])
         d2 = (self.grid_x[:, None] - context_x[None, :]) ** 2          # [G, N]
-        w = ad.rbf(d2, ell)
-        density = ad.sum_axis(w, axis=1, keepdims=True)                # [G, 1]
-        signal = (w @ Tensor(context_y)) / (density + DENSITY_EPS)     # [G, C]
-        return ad.concat([density, signal], axis=1)
+        return ad.set_conv(d2, context_y,
+                           ad.softplus(self.params["raw_len_in"]), DENSITY_EPS)
 
     def encode(self, channels: Tensor) -> tuple[Tensor, Representation]:
         """CNN over the grid embedding; returns grid features and pooled rep."""
         c = self.config
         h = ad.transpose(channels).reshape(1, 1 + c.n_channels, c.grid_size)
         for i in range(c.cnn_depth):
-            z = ad.conv1d(h, self.params[f"conv{i}_w"])
-            z = z + self.params[f"conv{i}_b"].reshape(1, c.cnn_width, 1)
-            z = ad.relu(z)
-            h = z + h if h.shape == z.shape else z
+            h = ad.conv_block(h, self.params[f"conv{i}_w"],
+                              self.params[f"conv{i}_b"])
         grid_features = ad.transpose(h.reshape(c.cnn_width, c.grid_size))  # [G,H]
         pooled = ad.mean_axis(grid_features, axis=0).reshape(1, c.cnn_width)
         r = (pooled @ self.params["repr_w"] + self.params["repr_b"]).reshape(c.d_r)
@@ -192,7 +187,7 @@ class ConvCnpModel:
         if (memo is None or memo[0] is not raw or memo[1] != key
                 or not np.array_equal(memo[2], target_x)):
             d2 = (target_x[:, None] - self.grid_x[None, :]) ** 2       # [T, G]
-            qn = ad.rbf(d2, ad.softplus(raw), normalize=True)
+            qn = ad.rbf(d2, ad.softplus(raw))
             memo = self._smoothed = (raw, key, target_x.copy(), qn)
         return memo[3]
 

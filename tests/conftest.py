@@ -44,10 +44,19 @@ def check_grads(build_loss, params, tol=1e-4, h=1e-5):
 
 
 def composed_rbf(d2, ell, normalize=False):
-    """`autodiff.rbf` from elementary ops: exp of the scaled squared
-    distances, then, with `normalize`, a row sum and a divide."""
+    """RBF weights from elementary ops: exp of the scaled squared distances,
+    then, with `normalize` (as `autodiff.rbf`), a row sum and a divide."""
     q = ad.exp(Tensor(d2) * -0.5 / (ell * ell))
     return q / ad.sum_axis(q, axis=1, keepdims=True) if normalize else q
+
+
+def composed_set_conv(d2, y, ell, eps):
+    """`autodiff.set_conv` from elementary ops: unnormalised RBF weights,
+    their row sums as density, and the signal divided by density + eps."""
+    w = composed_rbf(d2, ell)
+    density = ad.sum_axis(w, axis=1, keepdims=True)
+    signal = (w @ Tensor(y)) / (density + eps)
+    return ad.concat([density, signal], axis=1)
 
 
 def translate_check(model, context_x, context_y, target_x, delta_steps: int):

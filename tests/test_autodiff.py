@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -7,8 +8,12 @@ from hypothesis import given, settings, strategies as st
 from contrnp import autodiff as ad
 from contrnp.autodiff import DomainError, ShapeMismatchError, Tensor
 
-from conftest import (check_grads, composed_rbf, finite_diff_grads,
-                      leaf, rel_err)
+from conftest import (check_grads, composed_rbf, composed_set_conv,
+                      finite_diff_grads, leaf, rel_err)
+
+BAD_KERNELS = pytest.mark.parametrize("x_shape, k_shape", [
+    ((1, 1, 9), (1, 1, 4)), ((1, 2, 9), (1, 3, 3))],
+    ids=["even_width", "channel_mismatch"])
 
 
 def conv1d_reference(x, k, padding, g):
@@ -84,12 +89,16 @@ class TestErrors:
         with pytest.raises(DomainError):
             ad.log(Tensor([1.0, -1.0]))
 
-    @pytest.mark.parametrize("x_shape, k_shape", [
-        ((1, 1, 9), (1, 1, 4)), ((1, 2, 9), (1, 3, 3))],
-        ids=["even_width", "channel_mismatch"])
+    @BAD_KERNELS
     def test_conv1d_refuses_kernel(self, x_shape, k_shape):
         with pytest.raises(ShapeMismatchError, match="odd width"):
             ad.conv1d(Tensor(np.ones(x_shape)), Tensor(np.ones(k_shape)))
+
+    @BAD_KERNELS
+    def test_conv_block_refuses_kernel(self, x_shape, k_shape):
+        with pytest.raises(ShapeMismatchError, match="odd width"):
+            ad.conv_block(Tensor(np.ones(x_shape)), Tensor(np.ones(k_shape)),
+                          Tensor(np.ones(k_shape[0])))
 
     def test_backward_non_scalar(self):
         x = leaf(np.random.default_rng(0), 3)
@@ -138,6 +147,33 @@ class TestBackwardValues:
         np.testing.assert_allclose(x.grad, 4 * x.data)
 
 
+def graph_nodes(root):
+    """The op outputs reachable from `root`, latest created first."""
+    found, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if node._backward_fn is not None and id(node) not in found:
+            found[id(node)] = node
+            stack.extend(node._parents)
+    return sorted(found.values(), key=lambda n: -n._order)
+
+
+def out_of_place_grad(loss, leaf_tensor):
+    """The gradient of `loss` w.r.t. one leaf by `Tensor.backward`'s walk,
+    with every adjoint summed into a fresh array."""
+    adjoint = {id(loss): np.ones_like(loss.data)}
+    grad = np.zeros_like(leaf_tensor.data)
+    for node in graph_nodes(loss):
+        for p, pg in zip(node._parents,
+                         node._backward_fn(adjoint.pop(id(node)))):
+            if p is leaf_tensor:
+                grad = grad + pg
+            elif pg is not None and p._backward_fn is not None:
+                prior = adjoint.get(id(p))
+                adjoint[id(p)] = pg if prior is None else prior + pg
+    return grad
+
+
 class TestTapeRule:
     """`requires_grad` is the one graph flag: an op's output has it exactly
     when an operand has it, and only then records parents and a backward."""
@@ -150,6 +186,8 @@ class TestTapeRule:
         "matmul": (ad.matmul, [(3, 4), (4, 2)]),
         "concat": (lambda a, b: ad.concat([a, b], axis=1), [(3, 4), (3, 2)]),
         "conv1d": (ad.conv1d, [(2, 3, 8), (4, 3, 3)]),
+        "conv_block": (ad.conv_block, [(2, 3, 8), (4, 3, 3), (4,)]),
+        "conv_block_residual": (ad.conv_block, [(2, 4, 8), (4, 4, 3), (4,)]),
         "relu": (ad.relu, [(3, 4)]),
         "softplus": (ad.softplus, [(3, 4)]),
         "exp": (ad.exp, [(3, 4)]),
@@ -161,6 +199,8 @@ class TestTapeRule:
         "reshape": (lambda a: a.reshape(4, 3), [(3, 4)]),
         "transpose": (ad.transpose, [(3, 4)]),
         "rbf": (lambda a: ad.rbf(np.ones((3, 4)), a), [()]),
+        "set_conv": (lambda a: ad.set_conv(np.ones((3, 4)), np.ones((4, 2)),
+                                           a, 1e-6), [()]),
     }
     CASES = [(name, flags) for name, (_, shapes) in OPS.items()
              for flags in itertools.product([False, True], repeat=len(shapes))]
@@ -207,25 +247,46 @@ class TestTapeRule:
         for got, want in zip([x.grad, y.grad], fd):
             assert rel_err(got, want).max() < 1e-6
 
+    def test_in_place_adjoint_sum_matches_out_of_place(self, rng):
+        # h has three consumers and five arrivals; `add` hands both of its
+        # parents, here h twice, one array
+        x = leaf(rng, 3)
+        h = ad.exp(x * 0.5)
+        loss = (ad.sum_axis(h + h) + ad.sum_axis(h * h)
+                + ad.sum_axis(ad.exp(h * 0.1)))
+        nodes = graph_nodes(loss)
+        want = out_of_place_grad(loss, x)
+        seen = []   # every adjoint a backward took or gave, and its copy
+
+        def recording(g, fn):
+            out = fn(g)
+            seen.extend((a, np.copy(a)) for a in (g, *out) if a is not None)
+            return out
+        for node in nodes:
+            node._backward_fn = functools.partial(recording,
+                                                  fn=node._backward_fn)
+        data = [(n.data, n.data.copy()) for n in nodes]
+        x.zero_grad()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, want)
+        assert len(seen) > 10
+        for array, copy in seen + data:
+            np.testing.assert_array_equal(array, copy)
+
     def test_backward_runs_each_node_once(self, rng):
         # reverse creation order reaches a node only after all of its
         # consumers, so no node's backward runs on a partial adjoint
         x = leaf(rng, 3)
         h = ad.exp(x * 0.5)
         loss = ad.sum_axis((h * h + h) * h) + ad.sum_axis(h + x)
-        calls, nodes, stack = {}, set(), [loss]
-        while stack:
-            node = stack.pop()
-            if node._backward_fn is not None and id(node) not in nodes:
-                nodes.add(id(node))
-                stack.extend(node._parents)
-
-                def counted(g, fn=node._backward_fn, key=id(node)):
-                    calls[key] = calls.get(key, 0) + 1
-                    return fn(g)
-                node._backward_fn = counted
+        calls, nodes = {}, graph_nodes(loss)
+        for node in nodes:
+            def counted(g, fn=node._backward_fn, key=id(node)):
+                calls[key] = calls.get(key, 0) + 1
+                return fn(g)
+            node._backward_fn = counted
         loss.backward()
-        assert calls == {key: 1 for key in nodes}
+        assert calls == {id(node): 1 for node in nodes}
 
 
 class TestGradientChecks:
@@ -314,43 +375,95 @@ class TestGradientChecks:
 
 
 class TestRbf:
+    """The two fused RBF nodes against `composed_rbf`'s two forms: `rbf`,
+    the row-normalised weights (normalize=True), and `set_conv`, whose
+    unnormalised weights are summed to a density and a signal channel
+    (normalize=False), at 1 and 3 signal channels."""
+
     GRID = np.linspace(-0.1, 1.1, 16)
     SPACING = GRID[1] - GRID[0]
+    EPS = 1e-6
 
-    def squared_distances(self, rng, n=30):
-        x = rng.uniform(0.0, 1.0, n)
-        return (x[:, None] - self.GRID[None, :]) ** 2
+    def builds(self, rng, normalize):
+        """(fused, composed) pairs of functions of the lengthscale, each
+        over its own constant inputs."""
+        x = rng.uniform(0.0, 1.0, 30)
+        if normalize:
+            d2 = (x[:, None] - self.GRID[None, :]) ** 2             # [T, G]
+            return [(lambda ell: ad.rbf(d2, ell),
+                     lambda ell: composed_rbf(d2, ell, normalize=True))]
+        d2 = (self.GRID[:, None] - x[None, :]) ** 2                 # [G, N]
+        return [(lambda ell, y=y: ad.set_conv(d2, y, ell, self.EPS),
+                 lambda ell, y=y: composed_set_conv(d2, y, ell, self.EPS))
+                for y in (rng.standard_normal((30, c)) for c in (1, 3))]
 
     @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("spacings", [0.3, 1.0, 2.5])
     def test_lengthscale_gradient_matches_finite_differences(
             self, rng, normalize, spacings):
-        d2 = self.squared_distances(rng)
-        g = rng.standard_normal(d2.shape)
-        ell = Tensor(spacings * self.SPACING, requires_grad=True)
-        check_grads(lambda: ad.sum_axis(ad.rbf(d2, ell, normalize) * g),
-                    [ell], tol=1e-6, h=1e-7 * spacings)
+        for fused, _ in self.builds(rng, normalize):
+            ell = Tensor(spacings * self.SPACING, requires_grad=True)
+            g = Tensor(rng.standard_normal(fused(ell).shape))
+            check_grads(lambda: ad.sum_axis(fused(ell) * g),
+                        [ell], tol=1e-6, h=1e-7 * spacings)
 
     @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("spacings", [0.3, 1.0, 2.5])
     def test_fused_equals_composed_chain(self, rng, normalize, spacings):
-        d2 = self.squared_distances(rng)
-        g = rng.standard_normal(d2.shape)
-        grads, values = [], []
-        for build in (ad.rbf, composed_rbf):
-            ell = Tensor(spacings * self.SPACING, requires_grad=True)
-            q = build(d2, ell, normalize)
-            ell.zero_grad()
-            ad.sum_axis(q * Tensor(g)).backward()
-            values.append(q.data)
-            grads.append(float(ell.grad))
-        np.testing.assert_allclose(values[0], values[1], rtol=1e-12, atol=0)
-        assert grads[0] == pytest.approx(grads[1], rel=1e-12, abs=0)
+        for pair in self.builds(rng, normalize):
+            grads, values = [], []
+            g = None
+            for build in pair:
+                ell = Tensor(spacings * self.SPACING, requires_grad=True)
+                q = build(ell)
+                if g is None:
+                    g = Tensor(rng.standard_normal(q.shape))
+                ell.zero_grad()
+                ad.sum_axis(q * g).backward()
+                values.append(q.data)
+                grads.append(float(ell.grad))
+            if normalize:
+                np.testing.assert_allclose(values[0], values[1], rtol=1e-12,
+                                           atol=0)
+            else:
+                # set_conv keeps the chain's operation order
+                np.testing.assert_array_equal(values[0], values[1])
+            assert grads[0] == pytest.approx(grads[1], rel=1e-12, abs=0)
 
     def test_getitem_gradient(self, rng):
         x = leaf(rng, 3, 4)
         check_grads(lambda: ad.sum_axis(x[:, 1:3] * x[:, :2])
                     + ad.sum_axis(ad.exp(x[1] * 0.5)), [x])
+
+
+class TestConvBlock:
+    """`conv_block` against the conv1d, bias add, relu (and residual add)
+    chain it replaces."""
+
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_equals_op_by_op_chain(self, batch, residual):
+        r = np.random.default_rng(10 * batch + residual)
+        c_in, c_out = (4, 4) if residual else (3, 4)
+        h, k = leaf(r, batch, c_in, 9), leaf(r, c_out, c_in, 5)
+        b = leaf(r, c_out)
+        g = Tensor(r.standard_normal((batch, c_out, 9)))
+
+        def chain():
+            z = ad.relu(ad.conv1d(h, k) + b.reshape(1, c_out, 1))
+            return z + h if residual else z
+
+        results = []
+        for build in (lambda: ad.conv_block(h, k, b), chain):
+            out = build()
+            for t in (h, k, b):
+                t.zero_grad()
+            ad.sum_axis(out * g).backward()
+            results.append([out.data, h.grad, k.grad, b.grad])
+        pre = ad.conv1d(h, k).data + b.data[:, None]
+        assert np.any(pre < 0) and np.any(pre > 0)  # relu masks some
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestConstantOperands:

@@ -3,14 +3,16 @@ import pytest
 
 from contrnp import autodiff as ad
 from contrnp.autodiff import Tensor
+from contrnp.data import Segment, sample_views
+from contrnp.evaluate import extract
 from contrnp.losses import gaussian_nll
 from contrnp.train import Adam
 from contrnp.model import (DENSITY_EPS, CheckpointError, ConvCnpModel,
-                           GaussianPrediction, ModelConfig, SIGMA_MIN,
-                           load_checkpoint, save_checkpoint)
+                           GaussianPrediction, ModelConfig, Representation,
+                           SIGMA_MIN, load_checkpoint, save_checkpoint)
 
-from conftest import (check_grads, composed_rbf, flip_byte_in,
-                      translate_check)
+from conftest import (check_grads, composed_rbf, composed_set_conv,
+                      flip_byte_in, translate_check)
 
 
 SMALL = ModelConfig(grid_size=32, cnn_depth=2, cnn_width=8, d_r=6,
@@ -156,10 +158,23 @@ def composed_embed_context(model, context_x, context_y):
     """`embed_context` op by op: exp of the scaled squared distances, then
     density and normalised signal."""
     ell = ad.softplus(model.params["raw_len_in"])
-    w = composed_rbf((model.grid_x[:, None] - context_x[None, :]) ** 2, ell)
-    density = ad.sum_axis(w, axis=1, keepdims=True)
-    signal = (w @ Tensor(context_y)) / (density + DENSITY_EPS)
-    return ad.concat([density, signal], axis=1)
+    d2 = (model.grid_x[:, None] - context_x[None, :]) ** 2
+    return composed_set_conv(d2, context_y, ell, DENSITY_EPS)
+
+
+def composed_encode(model, channels):
+    """`encode` op by op: per layer conv1d, bias add, relu and, where the
+    shapes match, the residual add; then the pooled representation."""
+    c, p = model.config, model.params
+    h = ad.transpose(channels).reshape(1, 1 + c.n_channels, c.grid_size)
+    for i in range(c.cnn_depth):
+        z = ad.conv1d(h, p[f"conv{i}_w"])
+        z = ad.relu(z + p[f"conv{i}_b"].reshape(1, c.cnn_width, 1))
+        h = z + h if h.shape == z.shape else z
+    grid_features = ad.transpose(h.reshape(c.cnn_width, c.grid_size))
+    pooled = ad.mean_axis(grid_features, axis=0).reshape(1, c.cnn_width)
+    r = (pooled @ p["repr_w"] + p["repr_b"]).reshape(c.d_r)
+    return grid_features, Representation(r)
 
 
 def composed_decode(model, grid_features, target_x):
@@ -177,12 +192,13 @@ def composed_decode(model, grid_features, target_x):
 
 
 class TestComposedOracle:
-    """The fused smoother, the reassociated hidden layer and the joint head
-    product give the op-by-op model's predictions and gradients."""
+    """The fused set convolution and conv blocks, the fused smoother, the
+    reassociated hidden layer and the joint head product give the op-by-op
+    model's predictions and gradients."""
 
     @staticmethod
-    def run(model, embed, decode, x, y, tx, ty):
-        grid_features, rep = model.encode(embed(model, x, y))
+    def run(model, embed, encode, decode, x, y, tx, ty):
+        grid_features, rep = encode(model, embed(model, x, y))
         pred = decode(model, grid_features, tx)
         loss = gaussian_nll(pred, ty) + ad.mean_axis(rep.r * rep.r)
         for p in model.params.values():
@@ -201,10 +217,11 @@ class TestComposedOracle:
         tx = np.sort(rng.uniform(0.0, 1.0, 200))
         ty = rng.standard_normal((200, n_channels))
         want_pred, want_grads = self.run(
-            model, composed_embed_context, composed_decode, x, y, tx, ty)
-        pred, grads = self.run(
-            model, ConvCnpModel.embed_context, ConvCnpModel.decode,
+            model, composed_embed_context, composed_encode, composed_decode,
             x, y, tx, ty)
+        pred, grads = self.run(
+            model, ConvCnpModel.embed_context, ConvCnpModel.encode,
+            ConvCnpModel.decode, x, y, tx, ty)
         pairs = [("mu", pred.mu.data, want_pred.mu.data),
                  ("sigma", pred.sigma.data, want_pred.sigma.data),
                  *((k, grads[k], want_grads[k]) for k in model.params)]
@@ -215,6 +232,23 @@ class TestComposedOracle:
             assert scale > 0, name
             err = np.max(np.abs(got - want)) / scale
             assert err <= 1e-12, f"{name}: relative error {err:.3g}"
+
+    def test_extract_equals_composed_forward(self, rng, tmp_path):
+        # the representations `contrnp eval` writes, from a frozen model
+        save_checkpoint(ConvCnpModel(SMALL, rng), {}, tmp_path / "m.ckpt")
+        model, _, _ = load_checkpoint(tmp_path / "m.ckpt")
+        x = np.linspace(0.0, 1.0, 60)
+        segments = [Segment(i, x, rng.standard_normal((60, 1)), i % 2)
+                    for i in range(3)]
+        args = (4, 0.1, 0.9, (5, 20))
+        got = extract(model, segments, *args, np.random.default_rng(9))
+        views_rng, want = np.random.default_rng(9), []
+        for seg in segments:
+            reps = [composed_encode(model, composed_embed_context(
+                        model, v.context_x, v.context_y))[1].r.data
+                    for v in sample_views(seg, *args, views_rng)]
+            want.append(np.mean(reps, axis=0))
+        np.testing.assert_array_equal(got.reps, np.asarray(want))
 
 
 def twin(config, model=None):
