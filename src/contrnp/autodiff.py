@@ -296,18 +296,42 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         a.data.T @ g if b.requires_grad else None))
 
 
+_TINY = np.finfo(np.float64).tiny
+_LOG_TINY = np.log(_TINY)
+
+
+def _gauss(d2: np.ndarray, ell: Tensor, floor=_LOG_TINY) -> np.ndarray:
+    """exp(-d2 / 2 ell^2) with every exponent below `floor` set to -inf
+    first, so that, at the default log(tiny), entries exp would put below
+    the smallest normal float come out as exact 0 and no subnormal is made.
+
+    On x86 every instruction that reads or writes a subnormal takes a
+    microcode assist, which made exp and the GEMMs over these weights 3-4x
+    slower; numpy cannot set flush-to-zero, so the fix is in the data."""
+    # in place: fresh temporaries cost more than the arithmetic
+    e = d2 * -0.5
+    e /= ell.data * ell.data
+    e[e < floor] = -np.inf
+    return np.exp(e, out=e)
+
+
 def rbf(d2: np.ndarray, ell: Tensor) -> Tensor:
     """Row-normalised RBF weights of constant squared distances d2[N, M]
     and a scalar lengthscale: exp(-d2 / 2 ell^2), each row divided by its
-    sum.
+    sum, with every entry below the smallest normal float set to 0.
 
     One node in place of the exp/sum/div chain: its only gradient is the
     scalar ell's, G.(q (d2 - rowsum(q d2))) / ell^3."""
-    # in place: fresh [N, M] temporaries cost more than the arithmetic
-    q = d2 * -0.5
-    q /= ell.data * ell.data
-    np.exp(q, out=q)
-    q /= q.sum(axis=1, keepdims=True)
+    q = _gauss(d2, ell)
+    rowsum = q.sum(axis=1, keepdims=True)
+    short = rowsum[:, 0] < 1.0
+    if short.any():
+        # dividing by a sum below 1 can lift an entry exp put below tiny to
+        # tiny or above: those rows keep every exp entry until the flush
+        q[short] = _gauss(d2[short], ell, -np.inf)
+        rowsum[short] = q[short].sum(axis=1, keepdims=True)
+    q /= rowsum
+    q[q < _TINY] = 0.0
 
     def backward(g):
         dq = d2 - np.einsum("ij,ij->i", q, d2)[:, None]
@@ -320,16 +344,15 @@ def rbf(d2: np.ndarray, ell: Tensor) -> Tensor:
 def set_conv(d2: np.ndarray, y: np.ndarray, ell: Tensor,
              eps: float) -> Tensor:
     """RBF set convolution of constant values y[N, C] at squared distances
-    d2[G, N], with w = exp(-d2 / 2 ell^2): [G, 1 + C] channels, the density
-    rowsum(w) first, then the signal (w @ y) / (density + eps).
+    d2[G, N], with w = exp(-d2 / 2 ell^2) (entries below the smallest
+    normal float are 0): [G, 1 + C] channels, the density rowsum(w) first,
+    then the signal (w @ y) / (density + eps).
 
     One node in place of the rbf/sum/matmul/div/concat chain. Its only
     gradient is the scalar ell's, (Gw . (w d2)) / ell^3, where the weights'
     adjoint is Gw = G_den + (G_sig / (den + eps)) @ y^T
     - rowsum(G_sig sig / (den + eps))."""
-    w = d2 * -0.5
-    w /= ell.data * ell.data
-    np.exp(w, out=w)
+    w = _gauss(d2, ell)
     den = w.sum(axis=1, keepdims=True)
     den_eps = den + eps
     out = np.empty((w.shape[0], 1 + y.shape[1]))
@@ -368,14 +391,14 @@ def _conv(x: Tensor, kernel: Tensor):
     alive."""
     if x.ndim != 3 or kernel.ndim != 3:
         raise ShapeMismatchError(
-            f"conv1d expects x[B,C,L], kernel[C_out,C,W]; "
+            f"convolution expects x[B,C,L], kernel[C_out,C,W]; "
             f"got {x.shape} and {kernel.shape}")
     B, C, L = x.shape
     C_out, C_k, W = kernel.shape
     if C_k != C or W % 2 == 0:
         raise ShapeMismatchError(
-            f"conv1d needs a kernel of odd width over the input's channels: "
-            f"input {x.shape} vs kernel {kernel.shape}")
+            f"convolution needs a kernel of odd width over the input's "
+            f"channels: input {x.shape} vs kernel {kernel.shape}")
     pad = (W - 1) // 2
 
     xp = np.zeros((B, C, L + 2 * pad))
@@ -395,16 +418,10 @@ def _conv(x: Tensor, kernel: Tensor):
     return out, backward
 
 
-def conv1d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Same-padded cross-correlation of x[B,C,L] with kernel[C_out,C,W],
-    W odd: see `_conv`."""
-    out, backward = _conv(x, kernel)
-    return _make(out, (x, kernel), backward)
-
-
 def conv_block(h: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """One residual CNN layer as one node: relu(conv1d(h, kernel) + bias),
-    plus h when the shapes match; bias[C_out] is added per channel.
+    """One residual CNN layer as one node: relu(conv(h, kernel) + bias),
+    plus h when the shapes match, where conv is `_conv`'s same-padded
+    cross-correlation; bias[C_out] is added per channel.
 
     The bias, relu and residual are applied in place on the GEMM output;
     backward masks the adjoint once, sums it for the bias and adds it to

@@ -43,6 +43,14 @@ def check_grads(build_loss, params, tol=1e-4, h=1e-5):
             f"gradient mismatch: max rel err {rel_err(p.grad, g).max():.3g}"
 
 
+def conv1d(x, kernel):
+    """Same-padded cross-correlation of x[B,C,L] with kernel[C_out,C,W] as
+    one node, from the im2col lowering `autodiff.conv_block` uses: the
+    reference that the fused block and the nested-loop oracle check."""
+    out, backward = ad._conv(x, kernel)
+    return ad._make(out, (x, kernel), backward)
+
+
 def composed_rbf(d2, ell, normalize=False):
     """RBF weights from elementary ops: exp of the scaled squared distances,
     then, with `normalize` (as `autodiff.rbf`), a row sum and a divide."""

@@ -24,7 +24,7 @@ from contrnp.model import (ConvCnpModel, ModelConfig, load_checkpoint,
                            save_checkpoint)
 from contrnp.train import TrainConfig, train
 
-from conftest import finite_diff_grads, rel_err, translate_check
+from conftest import conv1d, finite_diff_grads, rel_err, translate_check
 from test_evaluate import blobs, dbi_reference, silhouette_reference
 from test_losses import brute_force_contrastive, rep_tensors
 
@@ -207,7 +207,7 @@ def test_criterion_1_autodiff():
     m1, m2 = t(3, 5), t(5, 2)
     check(lambda: ad.sum_axis(m1 @ m2), [m1, m2])
     sig, ker = t(1, 2, 6), t(4, 2, 3)
-    check(lambda: ad.sum_axis(ad.conv1d(sig, ker)), [sig, ker])
+    check(lambda: ad.sum_axis(conv1d(sig, ker)), [sig, ker])
     rng.standard_normal((1, 4))  # the end-to-end check below draws after this
 
     # end-to-end combined loss on a small config: G=8, K=2, M=2

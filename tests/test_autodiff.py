@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from contrnp import autodiff as ad
 from contrnp.autodiff import DomainError, ShapeMismatchError, Tensor
 
-from conftest import (check_grads, composed_rbf, composed_set_conv,
+from conftest import (check_grads, composed_rbf, composed_set_conv, conv1d,
                       finite_diff_grads, leaf, rel_err)
+
+TINY = np.finfo(np.float64).tiny
 
 BAD_KERNELS = pytest.mark.parametrize("x_shape, k_shape", [
     ((1, 1, 9), (1, 1, 4)), ((1, 2, 9), (1, 3, 3))],
@@ -55,7 +57,7 @@ class TestForwardValues:
         # taps, W at the centre and fewer towards either end
         x = Tensor(np.ones((1, 1, 5)))
         for width, want in [(3, [2, 3, 3, 3, 2]), (5, [3, 4, 5, 4, 3])]:
-            out = ad.conv1d(x, Tensor(np.ones((1, 1, width))))
+            out = conv1d(x, Tensor(np.ones((1, 1, width))))
             np.testing.assert_array_equal(out.data.ravel(), want)
 
     def test_matmul_matches_numpy(self, rng):
@@ -92,7 +94,7 @@ class TestErrors:
     @BAD_KERNELS
     def test_conv1d_refuses_kernel(self, x_shape, k_shape):
         with pytest.raises(ShapeMismatchError, match="odd width"):
-            ad.conv1d(Tensor(np.ones(x_shape)), Tensor(np.ones(k_shape)))
+            conv1d(Tensor(np.ones(x_shape)), Tensor(np.ones(k_shape)))
 
     @BAD_KERNELS
     def test_conv_block_refuses_kernel(self, x_shape, k_shape):
@@ -185,7 +187,7 @@ class TestTapeRule:
         "div": (lambda a, b: ad.div(a, ad.exp(b)), [(3, 4), (3, 4)]),
         "matmul": (ad.matmul, [(3, 4), (4, 2)]),
         "concat": (lambda a, b: ad.concat([a, b], axis=1), [(3, 4), (3, 2)]),
-        "conv1d": (ad.conv1d, [(2, 3, 8), (4, 3, 3)]),
+        "conv1d": (conv1d, [(2, 3, 8), (4, 3, 3)]),
         "conv_block": (ad.conv_block, [(2, 3, 8), (4, 3, 3), (4,)]),
         "conv_block_residual": (ad.conv_block, [(2, 4, 8), (4, 4, 3), (4,)]),
         "relu": (ad.relu, [(3, 4)]),
@@ -337,7 +339,7 @@ class TestGradientChecks:
         # conv1d pads by (W - 1) / 2: width 2 * padding + 1
         x = leaf(rng, 2, 3, 10)
         k = leaf(rng, 4, 3, 2 * padding + 1)
-        check_grads(lambda: ad.sum_axis(ad.relu(ad.conv1d(x, k))), [x, k])
+        check_grads(lambda: ad.sum_axis(ad.relu(conv1d(x, k))), [x, k])
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("width,padding",
@@ -349,7 +351,7 @@ class TestGradientChecks:
             x = leaf(r, batch, c_in, length)
             k = leaf(r, c_out, c_in, width)
             g = r.standard_normal((batch, c_out, length))
-            out = ad.conv1d(x, k)
+            out = conv1d(x, k)
             x.zero_grad()
             k.zero_grad()
             ad.sum_axis(out * Tensor(g)).backward()
@@ -374,11 +376,18 @@ class TestGradientChecks:
             check_grads(build, [x, w])
 
 
+def subnormal(a):
+    """Entries of `a` that are not 0 but below the smallest normal float."""
+    return (a != 0) & (np.abs(a) < TINY)
+
+
 class TestRbf:
     """The two fused RBF nodes against `composed_rbf`'s two forms: `rbf`,
     the row-normalised weights (normalize=True), and `set_conv`, whose
     unnormalised weights are summed to a density and a signal channel
-    (normalize=False), at 1 and 3 signal channels."""
+    (normalize=False), at 1 and 3 signal channels. Both nodes set every
+    weight the composed chain puts below the smallest normal float to 0
+    and leave every other weight as it is."""
 
     GRID = np.linspace(-0.1, 1.1, 16)
     SPACING = GRID[1] - GRID[0]
@@ -393,9 +402,28 @@ class TestRbf:
             return [(lambda ell: ad.rbf(d2, ell),
                      lambda ell: composed_rbf(d2, ell, normalize=True))]
         d2 = (self.GRID[:, None] - x[None, :]) ** 2                 # [G, N]
-        return [(lambda ell, y=y: ad.set_conv(d2, y, ell, self.EPS),
-                 lambda ell, y=y: composed_set_conv(d2, y, ell, self.EPS))
+        return [self.set_conv_pair(d2, y)
                 for y in (rng.standard_normal((30, c)) for c in (1, 3))]
+
+    def set_conv_pair(self, d2, y):
+        return (lambda ell: ad.set_conv(d2, y, ell, self.EPS),
+                lambda ell: composed_set_conv(d2, y, ell, self.EPS))
+
+    @staticmethod
+    def run_pair(rng, pair, ell_value):
+        """Each build's output and its lengthscale gradient under one random
+        output adjoint."""
+        values, grads, g = [], [], None
+        for build in pair:
+            ell = Tensor(ell_value, requires_grad=True)
+            q = build(ell)
+            if g is None:
+                g = Tensor(rng.standard_normal(q.shape))
+            ell.zero_grad()
+            ad.sum_axis(q * g).backward()
+            values.append(q.data)
+            grads.append(float(ell.grad))
+        return values, grads
 
     @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("spacings", [0.3, 1.0, 2.5])
@@ -411,23 +439,72 @@ class TestRbf:
     @pytest.mark.parametrize("spacings", [0.3, 1.0, 2.5])
     def test_fused_equals_composed_chain(self, rng, normalize, spacings):
         for pair in self.builds(rng, normalize):
-            grads, values = [], []
-            g = None
-            for build in pair:
-                ell = Tensor(spacings * self.SPACING, requires_grad=True)
-                q = build(ell)
-                if g is None:
-                    g = Tensor(rng.standard_normal(q.shape))
-                ell.zero_grad()
-                ad.sum_axis(q * g).backward()
-                values.append(q.data)
-                grads.append(float(ell.grad))
+            (fused, composed), grads = self.run_pair(
+                rng, pair, spacings * self.SPACING)
             if normalize:
-                np.testing.assert_allclose(values[0], values[1], rtol=1e-12,
-                                           atol=0)
+                normal = composed >= TINY
+                if spacings == 0.3:  # the flush has entries to act on
+                    assert np.any(subnormal(composed))
+                np.testing.assert_allclose(fused[normal], composed[normal],
+                                           rtol=1e-12, atol=0)
+                np.testing.assert_array_equal(fused[~normal], 0.0)
             else:
                 # set_conv keeps the chain's operation order
-                np.testing.assert_array_equal(values[0], values[1])
+                np.testing.assert_array_equal(fused, composed)
+            assert grads[0] == pytest.approx(grads[1], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("spacings", [0.3, 0.55, 1.0, 2.5])
+    def test_no_subnormal_output(self, rng, spacings):
+        # 256 grid points: every lengthscale here reaches exp's subnormal
+        # range, as the composed weights show
+        grid = np.linspace(-0.1, 1.1, 256)
+        x = rng.uniform(0.0, 1.0, 50)
+        d2 = (x[:, None] - grid[None, :]) ** 2                      # [T, G]
+        ell = Tensor(spacings * (grid[1] - grid[0]))
+        assert np.any(subnormal(composed_rbf(d2, ell).data))
+        y = rng.standard_normal((50, 2))
+        # set_conv's weights are the shared helper's, unnormalised
+        for out in (ad.rbf(d2, ell).data, ad._gauss(d2, ell),
+                    ad.set_conv(d2.T, y, ell, self.EPS).data):
+            assert not np.any(subnormal(out))
+
+    def test_exp_at_clamp_threshold_is_normal(self):
+        # exponents from log(tiny) up give normal weights, so set_conv's
+        # clamp leaves no subnormal; below it, exp gives less than tiny
+        at = np.full(16, ad._LOG_TINY)
+        assert np.all(np.exp(at) >= TINY)
+        assert np.all(np.exp(np.nextafter(at, -np.inf)) < TINY)
+
+    def test_rbf_row_sum_below_one_keeps_lifted_entries(self, rng):
+        # exponents -2, log(tiny) - 0.5 and -3: exp puts the second below
+        # tiny, the divide by the row sum e^-2 + e^-3 lifts it to 3.3 tiny
+        d2 = np.array([[4.0, -2.0 * (ad._LOG_TINY - 0.5), 6.0]])
+        (fused, composed), grads = self.run_pair(
+            rng, (lambda ell: ad.rbf(d2, ell),
+                  lambda ell: composed_rbf(d2, ell, normalize=True)), 1.0)
+        assert TINY <= composed[0, 1] < 4 * TINY
+        np.testing.assert_array_equal(fused, composed)
+        assert grads[0] == pytest.approx(grads[1], rel=1e-12, abs=0)
+        # exponents -725 and -730: exp puts both below tiny, and the row
+        # normalises them to normal weights (the chain's gradient through
+        # a subnormal row sum overflows, so only values are compared)
+        d2, ell = np.array([[1450.0, 1460.0]]), Tensor(1.0)
+        composed = composed_rbf(d2, ell, normalize=True).data
+        assert np.all(composed >= TINY)
+        np.testing.assert_array_equal(ad.rbf(d2, ell).data, composed)
+
+    def test_set_conv_at_trained_input_lengthscale(self, rng):
+        # the [64, N] weights at the ell_in a trained repr_run reaches,
+        # 0.96 grid spacings: some fall below tiny
+        grid = np.linspace(-0.1, 1.1, 64)
+        x = rng.uniform(0.0, 1.0, 60)
+        d2 = (grid[:, None] - x[None, :]) ** 2                      # [G, N]
+        ell = 0.96 * (grid[1] - grid[0])
+        assert np.any(subnormal(composed_rbf(d2, Tensor(ell)).data))
+        for c in (1, 3):
+            pair = self.set_conv_pair(d2, rng.standard_normal((60, c)))
+            (fused, composed), grads = self.run_pair(rng, pair, ell)
+            np.testing.assert_array_equal(fused, composed)
             assert grads[0] == pytest.approx(grads[1], rel=1e-12, abs=0)
 
     def test_getitem_gradient(self, rng):
@@ -450,7 +527,7 @@ class TestConvBlock:
         g = Tensor(r.standard_normal((batch, c_out, 9)))
 
         def chain():
-            z = ad.relu(ad.conv1d(h, k) + b.reshape(1, c_out, 1))
+            z = ad.relu(conv1d(h, k) + b.reshape(1, c_out, 1))
             return z + h if residual else z
 
         results = []
@@ -460,7 +537,7 @@ class TestConvBlock:
                 t.zero_grad()
             ad.sum_axis(out * g).backward()
             results.append([out.data, h.grad, k.grad, b.grad])
-        pre = ad.conv1d(h, k).data + b.data[:, None]
+        pre = conv1d(h, k).data + b.data[:, None]
         assert np.any(pre < 0) and np.any(pre > 0)  # relu masks some
         for got, want in zip(*results):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -11,7 +11,7 @@ from contrnp.model import (DENSITY_EPS, CheckpointError, ConvCnpModel,
                            GaussianPrediction, ModelConfig, Representation,
                            SIGMA_MIN, load_checkpoint, save_checkpoint)
 
-from conftest import (check_grads, composed_rbf, composed_set_conv,
+from conftest import (check_grads, composed_rbf, composed_set_conv, conv1d,
                       flip_byte_in, translate_check)
 
 
@@ -168,7 +168,7 @@ def composed_encode(model, channels):
     c, p = model.config, model.params
     h = ad.transpose(channels).reshape(1, 1 + c.n_channels, c.grid_size)
     for i in range(c.cnn_depth):
-        z = ad.conv1d(h, p[f"conv{i}_w"])
+        z = conv1d(h, p[f"conv{i}_w"])
         z = ad.relu(z + p[f"conv{i}_b"].reshape(1, c.cnn_width, 1))
         h = z + h if h.shape == z.shape else z
     grid_features = ad.transpose(h.reshape(c.cnn_width, c.grid_size))
