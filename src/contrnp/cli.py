@@ -157,7 +157,8 @@ def cmd_train(args):
 
 
 def _load_run(ckpt_path, data_path):
-    """The checkpointed model, its training config and the data's segments."""
+    """The checkpointed model, its training config and the data's segments;
+    a DataError when the data's channel count is not the model's."""
     model, cfg_dict, _ = load_checkpoint(ckpt_path)
     try:
         tc = TrainConfig(**cfg_dict["train"])
@@ -166,7 +167,12 @@ def _load_run(ckpt_path, data_path):
     except (TypeError, ValueError) as e:
         raise CheckpointError(
             f"{ckpt_path}: \"train\" config does not fit TrainConfig: {e}")
-    return model, tc, _load_segments(data_path, tc)
+    segments = _load_segments(data_path, tc)
+    n_data, n_model = segments[0].y.shape[1], model.config.n_channels
+    if n_data != n_model:
+        raise DataError(f"{data_path}: {n_data} channel(s), but checkpoint "
+                        f"{ckpt_path} was trained on {n_model}")
+    return model, tc, segments
 
 
 def _encode_dataset(ckpt_path, data_path, seed):

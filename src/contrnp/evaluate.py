@@ -158,16 +158,12 @@ def _average_precision(y_true: np.ndarray, scores: np.ndarray) -> float:
     order = np.argsort(-scores, kind="stable")
     y = y_true[order]
     tp = np.cumsum(y)
-    n_pos = tp[-1]
     precision = tp / np.arange(1, len(y) + 1)
-    recall = tp / n_pos
-    prev_r = 0.0
-    ap = 0.0
-    for p_i, r_i, y_i in zip(precision, recall, y):
-        if y_i:
-            ap += (r_i - prev_r) * p_i
-            prev_r = r_i
-    return float(ap)
+    recall = tp / tp[-1]
+    hit = y != 0
+    # cumsum adds the per-positive terms in order, as a loop would
+    terms = np.diff(recall[hit], prepend=0.0) * precision[hit]
+    return float(np.cumsum(terms)[-1])
 
 
 def auprc(probe: ProbeModel, encoded: EncodedDataset) -> float:
@@ -184,31 +180,35 @@ def auprc(probe: ProbeModel, encoded: EncodedDataset) -> float:
     return float(np.mean(aps))
 
 
-def _pairwise_dist(x: np.ndarray) -> np.ndarray:
-    # direct differences, not the gram-matrix trick: the clustering indices
-    # are checked against nested-loop references at 1e-12
-    return np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
+def _class_table(labels: np.ndarray,
+                 metric: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The sorted classes of `labels` and one boolean row mask per class; an
+    EvalError when there are fewer than 2 classes."""
+    classes = np.unique(labels)
+    if len(classes) < 2:
+        raise EvalError(f"{metric} needs at least 2 classes")
+    return classes, [labels == c for c in classes]
 
 
 def silhouette(encoded: EncodedDataset) -> float:
     """Mean silhouette score with Euclidean distances.
 
     Points in singleton classes and points with a == b == 0 score 0.
+    Distances are computed one point's row at a time, in O(N * d) memory.
     """
-    labels = encoded.labels
-    classes = np.unique(labels)
-    if len(classes) < 2:
-        raise EvalError("silhouette needs at least 2 classes")
-    d = _pairwise_dist(encoded.reps)
-    n = len(labels)
-    scores = np.zeros(n)
-    for i in range(n):
-        same = labels == labels[i]
-        n_same = int(same.sum())
-        if n_same < 2:
+    classes, masks = _class_table(encoded.labels, "silhouette")
+    reps = encoded.reps
+    own = np.searchsorted(classes, encoded.labels)
+    sizes = [int(m.sum()) for m in masks]
+    scores = np.zeros(len(reps))
+    for i, k in enumerate(own):
+        if sizes[k] < 2:
             continue
-        a = d[i, same].sum() / (n_same - 1)
-        b = min(d[i, labels == c].mean() for c in classes if c != labels[i])
+        # direct differences, not the gram-matrix trick: the clustering
+        # indices are checked against nested-loop references at 1e-12
+        d = np.linalg.norm(reps[i] - reps, axis=1)
+        a = d[masks[k]].sum() / (sizes[k] - 1)
+        b = min(d[m].mean() for j, m in enumerate(masks) if j != k)
         denom = max(a, b)
         scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
     return float(scores.mean())
@@ -216,16 +216,11 @@ def silhouette(encoded: EncodedDataset) -> float:
 
 def davies_bouldin(encoded: EncodedDataset) -> float:
     """Davies-Bouldin index with Euclidean distances (lower is better)."""
-    labels = encoded.labels
-    classes = np.unique(labels)
-    if len(classes) < 2:
-        raise EvalError("Davies-Bouldin index needs at least 2 classes")
-    centroids = np.stack([encoded.reps[labels == c].mean(axis=0)
-                          for c in classes])
-    scatter = np.array([
-        np.linalg.norm(encoded.reps[labels == c] - centroids[i],
-                       axis=1).mean()
-        for i, c in enumerate(classes)])
+    classes, masks = _class_table(encoded.labels, "Davies-Bouldin index")
+    rows = [encoded.reps[m] for m in masks]
+    centroids = np.stack([r.mean(axis=0) for r in rows])
+    scatter = np.array([np.linalg.norm(r - c, axis=1).mean()
+                        for r, c in zip(rows, centroids)])
     ratios = []
     for i in range(len(classes)):
         worst = 0.0

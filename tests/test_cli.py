@@ -602,7 +602,7 @@ BAD_HEADERS = ["", "t,ch0,label", "time", "time,label", "\ufefftime,ch0,label",
 BAD_CELLS = ["nan", "inf", "-inf", "", "x", "1e999", "0x10"]
 BAD_BYTES = [b"\xff", b"\xc3\x28", b"\x80", b"\xed\xa0\x80", NON_UTF8_BYTES]
 CSV_KINDS = ["header", "short_row", "blank_lines", "non_monotone", "bad_cell",
-             "non_utf8", "time_jump", "truncate"]
+             "non_utf8", "time_jump", "truncate", "extra_channel"]
 
 
 def mutate_csv(text, mutations):
@@ -628,6 +628,10 @@ def mutate_csv(text, mutations):
                     later[0] = repr(float(later[0]) + 1e6)
         elif kind == "truncate":
             del rows[1 + at % 200:]
+        elif kind == "extra_channel":  # a copy of column 1 as `ch1`
+            for r in rows:
+                if len(r) > 1:
+                    r.insert(2, "ch1" if r is rows[0] else r[1])
     data = "".join(",".join(r) + "\n" for r in rows).encode()
     for kind, at, pick in mutations:
         if kind == "non_utf8":
@@ -647,7 +651,7 @@ PINNED_MUTATIONS = [
     ("header", 100, 4), ("short_row", 100, 0), ("blank_lines", 100, 1),
     ("non_monotone", 100, 0), ("bad_cell", 100, 0), ("bad_cell", 100, 1),
     ("bad_cell", 100, 2), ("non_utf8", 100, 4), ("time_jump", 100, 0),
-    ("truncate", 100, 0)]
+    ("truncate", 100, 0), ("extra_channel", 100, 0)]
 
 
 def pin_csv_mutations(test):
@@ -671,3 +675,38 @@ def test_fuzzed_csv_ends_in_exit_code(fuzz_dir, fuzz_run, command,
     assert rc in (0, 1, 2, 3)
     if rc:
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def two_channel_run(fuzz_dir, fuzz_run):
+    """The fuzz dataset with ch0 copied as ch1, and a model trained on it."""
+    data = fuzz_dir / "two_channel.csv"
+    data.write_bytes(mutate_csv((fuzz_dir / "data.csv").read_text(),
+                                [("extra_channel", 0, 0)]))
+    rc, _ = run_main(["train", "--config", fuzz_dir / "trained.cfg",
+                      "--data", data, "--out", fuzz_dir / "trained2"])
+    assert rc == 0
+    return data, fuzz_dir / "trained2"
+
+
+# each once ended in a `cannot reshape` traceback from the encoder, exit 1
+@pytest.mark.parametrize("command", ["eval", "sweep-labels", "forecast"])
+@pytest.mark.parametrize("model_channels", [1, 2])
+def test_channel_count_must_match_checkpoint(fuzz_dir, fuzz_run,
+                                             two_channel_run, command,
+                                             model_channels):
+    two_channel_data, two_channel_model = two_channel_run
+    run, own, other = (
+        (fuzz_run, fuzz_dir / "data.csv", two_channel_data)
+        if model_channels == 1 else
+        (two_channel_model, two_channel_data, fuzz_dir / "data.csv"))
+    argv = command_argv(command, fuzz_dir, run)
+    if command == "sweep-labels":  # the default 0.1 leaves a class unlabeled
+        argv += ["--fractions", "1.0"]
+    at = argv.index("--data") + 1
+    argv[at] = own
+    assert run_main(argv) == (0, [])
+    argv[at] = other
+    assert run_main(argv) == (2, [
+        f"error: {other}: {3 - model_channels} channel(s), but checkpoint "
+        f"{run / 'model.ckpt'} was trained on {model_channels}"])

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contrnp.data import sample_views, synth_generate
-from contrnp.evaluate import (EncodedDataset, EvalError, ProbeModel, accuracy,
-                              auprc, davies_bouldin, evaluate_split, extract,
+from contrnp.evaluate import (EncodedDataset, EvalError, ProbeModel,
+                              _average_precision, accuracy, auprc,
+                              davies_bouldin, evaluate_split, extract,
                               holdout_split, silhouette, train_probe)
 from contrnp.model import (ConvCnpModel, ModelConfig, load_checkpoint,
                            save_checkpoint)
@@ -44,6 +46,20 @@ def dbi_reference(reps, labels):
                         / np.linalg.norm(cents[i] - cents[j])
                         for j in classes if j != i))
     return float(np.mean(vals))
+
+
+def average_precision_reference(y_true, scores):
+    order = np.argsort(-scores, kind="stable")
+    y = y_true[order]
+    tp = np.cumsum(y)
+    precision = tp / np.arange(1, len(y) + 1)
+    recall = tp / tp[-1]
+    prev_r = ap = 0.0
+    for p_i, r_i, y_i in zip(precision, recall, y):
+        if y_i:
+            ap += (r_i - prev_r) * p_i
+            prev_r = r_i
+    return float(ap)
 
 
 def blobs(rng, n_classes=3, per_class=30, d=4, spread=1.0, sep=5.0):
@@ -106,6 +122,20 @@ class TestDaviesBouldin:
                              np.array([0, 0, 1, 1]))
         with pytest.raises(EvalError, match="coincident"):
             davies_bouldin(enc)
+
+
+@pytest.mark.parametrize("metric", [silhouette, davies_bouldin])
+def test_clustering_memory_is_linear_in_rows(rng, metric):
+    # an [N, N, d] difference array would be 82 MB here
+    n, d = 400, 64
+    enc = blobs(rng, n_classes=4, per_class=n // 4, d=d)
+    tracemalloc.start()
+    try:
+        metric(enc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (n * d + n * n) * 8
 
 
 @settings(max_examples=20, deadline=None)
@@ -275,3 +305,14 @@ class TestClassificationMetrics:
         # the per-class ranking
         assert auprc(probe_a, EncodedDataset(reps, labels)) == pytest.approx(
             auprc(probe_b, EncodedDataset(reps, labels)), abs=1e-12)
+
+    def test_average_precision_matches_loop_with_ties(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            n = int(rng.integers(1, 200))
+            y = (rng.uniform(size=n) < rng.uniform(0.05, 0.95)).astype(np.int64)
+            y[rng.integers(n)] = 1
+            # one or two decimals, so many scores tie
+            scores = np.round(rng.uniform(size=n), int(rng.integers(1, 3)))
+            assert _average_precision(y, scores) == \
+                average_precision_reference(y, scores)
