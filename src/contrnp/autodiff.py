@@ -134,9 +134,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
 
-    def __getitem__(self, key):
-        return getitem(self, key)
-
     def reshape(self, *shape):
         return reshape(self, shape)
 
@@ -196,18 +193,17 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad else None))
 
 
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
-    mask = a.data > 0
-    return _make(out, (a,), lambda g: (g * mask,))
-
-
-def softplus(a: Tensor) -> Tensor:
-    # stable form: max(x, 0) + log1p(exp(-|x|))
-    x = a.data
+def _softplus(x: np.ndarray):
+    """softplus(x) in the stable form max(x, 0) + log1p(exp(-|x|)), and its
+    derivative, the logistic sigmoid of x."""
     e = np.exp(-np.abs(x))
     out = np.maximum(x, 0.0) + np.log1p(e)
     sig = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return out, sig
+
+
+def softplus(a: Tensor) -> Tensor:
+    out, sig = _softplus(a.data)
     return _make(out, (a,), lambda g: (g * sig,))
 
 
@@ -259,18 +255,6 @@ def concat(tensors, axis=0) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _make(out, tuple(tensors), backward)
-
-
-def getitem(a: Tensor, key) -> Tensor:
-    """a.data[key] for a basic (slice or integer) index."""
-    out = a.data[key]
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[key] = g
-        return (ga,)
-
-    return _make(out, (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -442,3 +426,108 @@ def conv_block(h: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         return gh, gk, gz.sum(axis=(0, 2))
 
     return _make(out, (h, kernel, bias), backward)
+
+
+HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+
+
+def _decoder(qn: Tensor, grids, weights, sigma_min: float):
+    """The ConvCNP decoder of V views that share one smoother qn[T, G]: each
+    view's grid features F_v[G, H] smoothed onto the T targets, one hidden
+    layer, then a mu head and a sigma head over C channels,
+
+        Z_v = relu(qn @ (F_v @ W1) + b1)                        [T, hidden]
+        mu_v = Z_v @ W_mu + b_mu
+        sigma_v = softplus(Z_v @ W_sig + b_sig) + sigma_min     [T, C]
+
+    with weights = (W1, b1, W_mu, b_mu, W_sig, b_sig). All views go through
+    one [T, G] x [G, V * hidden] product and one [T * V, hidden] x
+    [hidden, 2C] product for both heads. Returns mu and sigma [V, T, C] and
+    the backward that maps their adjoints (arrays of that shape, or 0) to
+    the gradients of (qn, *grids, *weights). That backward writes the hidden
+    layer's adjoint over the hidden layer, the largest array here, so it
+    runs once per forward pass: a fresh array of that size every step would
+    be freed to the OS and faulted in again."""
+    w1, b1, w_mu, b_mu, w_sig, b_sig = (w.data for w in weights)
+    (T, G), V = qn.shape, len(grids)
+    H, hidden = w1.shape
+    C = w_mu.shape[1]
+    # row g * V + v of F is row g of F_v, so columns v * hidden onwards of
+    # A hold F_v @ W1
+    F = np.stack([f.data for f in grids], axis=1).reshape(G * V, H)
+    A = (F @ w1).reshape(G, V * hidden)
+    Z = qn.data @ A
+    z = Z.reshape(T * V, hidden)
+    z += b1
+    np.maximum(Z, 0.0, out=Z)
+    w_head = np.concatenate([w_mu, w_sig], axis=1)
+    head = z @ w_head
+    head += np.concatenate([b_mu, b_sig])
+    head = head.reshape(T, V, 2 * C).transpose(1, 0, 2)
+    mu = np.ascontiguousarray(head[:, :, :C])
+    sigma, dsigma_dpre = _softplus(np.ascontiguousarray(head[:, :, C:]))
+    sigma += sigma_min
+
+    spent = False
+
+    def backward(dmu, dsigma):
+        nonlocal spent
+        if spent:
+            raise RuntimeError("the decoder's backward runs once per forward "
+                               "pass; re-run the forward pass")
+        spent = True
+        dhead = np.empty((T * V, 2 * C))
+        by_view = dhead.reshape(T, V, 2 * C).transpose(1, 0, 2)
+        by_view[:, :, :C] = dmu
+        np.multiply(dsigma, dsigma_dpre, out=by_view[:, :, C:])
+        dw_head = z.T @ dhead
+        db_head = dhead.sum(axis=0)
+        live = z > 0
+        dz = np.matmul(dhead, w_head.T, out=z)
+        dz *= live
+        dZ = dz.reshape(T, V * hidden)
+        dqn = dZ @ A.T if qn.requires_grad else None
+        dA = (qn.data.T @ dZ).reshape(G * V, hidden)
+        dF = (dA @ w1.T).reshape(G, V, H)
+        return (dqn, *(dF[:, v] for v in range(V)), F.T @ dA,
+                dz.sum(axis=0), dw_head[:, :C], db_head[:C], dw_head[:, C:],
+                db_head[C:])
+
+    return mu, sigma, backward
+
+
+def decode(qn: Tensor, grid: Tensor, weights,
+           sigma_min: float) -> tuple[Tensor, Tensor]:
+    """mu and sigma [T, C] of one view's grid features grid[G, H] on the
+    smoother qn[T, G], as `_decoder` computes them: two nodes, each with its
+    own forward pass, since a pass's backward runs once; each runs that
+    backward with the other output's adjoint 0."""
+    mu, _, mu_backward = _decoder(qn, [grid], weights, sigma_min)
+    _, sigma, sigma_backward = _decoder(qn, [grid], weights, sigma_min)
+    parents = (qn, grid, *weights)
+    return (_make(mu[0], parents, lambda g: mu_backward(g[None], 0.0)),
+            _make(sigma[0], parents, lambda g: sigma_backward(0.0, g[None])))
+
+
+def decode_nll(qn: Tensor, grids, ys, weights, sigma_min: float) -> Tensor:
+    """The mean Gaussian negative log likelihood [V] of each view's targets
+    ys[v][T, C] under its prediction by `_decoder`, as one node: per view,
+    the mean over targets and channels of
+    log sigma + log(2 pi) / 2 + (mu - y)^2 / (2 sigma^2).
+
+    Its backward maps the V adjoints to mu's and sigma's and runs the
+    decoder's backward once for all views."""
+    mu, sigma, decoder_backward = _decoder(qn, grids, weights, sigma_min)
+    diff = mu - np.stack(ys)
+    var = sigma * sigma
+    point = np.log(sigma) + HALF_LOG_2PI + diff * diff / (var * 2.0)
+    n = point[0].size
+    out = point.reshape(len(ys), n).sum(axis=1) * (1.0 / n)
+
+    def backward(g):
+        scale = (g * (1.0 / n))[:, None, None]
+        dmu = diff / var * scale
+        dsigma = (1.0 / sigma - diff * diff / (var * sigma)) * scale
+        return decoder_backward(dmu, dsigma)
+
+    return _make(out, (qn, *grids, *weights), backward)

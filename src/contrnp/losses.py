@@ -9,15 +9,14 @@ inside the log (no exponentiation, sum reduction) for ablations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import GaussianPrediction, Representation
-
-_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+from .model import SIGMA_MIN, GaussianPrediction, Representation
 
 
 @dataclass
@@ -76,27 +75,59 @@ def contrastive_loss(reps, cfg: ContrastiveConfig) -> Tensor:
     return pos_logs - ad.sum_axis(ad.log(denom)) * float(m_n - 1)
 
 
-def gaussian_nll(pred: GaussianPrediction, target_y) -> Tensor:
-    """Mean Gaussian negative log likelihood over target points and channels."""
+def _target_array(target_y, shape) -> np.ndarray:
     y = np.asarray(target_y, dtype=np.float64)
     if y.ndim == 1:
         y = y[:, None]
-    if y.shape != pred.mu.shape:
+    if y.shape != shape:
         raise ad.ShapeMismatchError(
-            f"gaussian_nll: targets {y.shape} vs prediction {pred.mu.shape}")
-    diff = pred.mu - Tensor(y)
-    point_nll = (ad.log(pred.sigma) + _HALF_LOG_2PI
+            f"gaussian_nll: targets {y.shape} vs prediction {shape}")
+    return y
+
+
+def gaussian_nll(pred: GaussianPrediction, target_y) -> Tensor:
+    """Mean Gaussian negative log likelihood over target points and channels."""
+    diff = pred.mu - Tensor(_target_array(target_y, pred.mu.shape))
+    point_nll = (ad.log(pred.sigma) + ad.HALF_LOG_2PI
                  + diff * diff / (pred.sigma * pred.sigma * 2.0))
     return ad.mean_axis(point_nll)
+
+
+def _decode_group(pred_and_target) -> tuple | None:
+    """What the views decoded by one node share: the smoother and the decoder
+    weights; None for a prediction given as mu and sigma."""
+    pending = pred_and_target[0].pending
+    if pending is None:
+        return None
+    return (id(pending.smoother), *map(id, pending.weights))
+
+
+def _view_nlls(preds: list[GaussianPrediction], targets: list) -> Tensor:
+    """The Gaussian NLL of each view [n_views], in view order. Each run of
+    adjacent pending predictions on one smoother, which in `train_step` is
+    every view of the step, is decoded and scored by one
+    `autodiff.decode_nll` node; a prediction given as mu and sigma by
+    `gaussian_nll`. (`ConvCnpModel._smoother` keeps only the last target
+    set, so in decode order the views on one smoother node are adjacent.)"""
+    parts = []
+    for key, run in itertools.groupby(zip(preds, targets, strict=True),
+                                      key=_decode_group):
+        run = list(run)
+        if key is None:
+            parts += [gaussian_nll(p, y).reshape(1) for p, y in run]
+            continue
+        first = run[0][0].pending
+        parts.append(ad.decode_nll(
+            first.smoother, [p.pending.grid_features for p, _ in run],
+            [_target_array(y, first.shape) for _, y in run], first.weights,
+            SIGMA_MIN))
+    return parts[0] if len(parts) == 1 else ad.concat(parts)
 
 
 def combined_loss(preds: list[GaussianPrediction], targets: list,
                   reps, lam: float, cfg: ContrastiveConfig) -> LossBreakdown:
     """lambda * mean per-view NLL + contrastive term."""
-    nll_terms = [gaussian_nll(p, t)
-                 for p, t in zip(preds, targets, strict=True)]
-    nll = ad.concat([t.reshape(1) for t in nll_terms])
-    nll = ad.mean_axis(nll)
+    nll = ad.mean_axis(_view_nlls(preds, targets))
     contr = contrastive_loss(reps, cfg)
     total = contr if lam == 0.0 else nll * lam + contr
     return LossBreakdown(total=total, nll=nll, contrastive=contr)

@@ -16,6 +16,7 @@ import math
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,10 +74,48 @@ class Representation:
     r: Tensor            # [d_r]
 
 
-@dataclass
+# the decoder's parameters, in the order `autodiff.decode_nll` takes them
+DECODER_PARAMS = ("dec_w1", "dec_b1", "dec_mu_w", "dec_mu_b", "dec_sig_w",
+                  "dec_sig_b")
+
+
+class PendingDecode(NamedTuple):
+    """A view `ConvCnpModel.decode` has not decoded yet."""
+    smoother: Tensor         # [n_target, G], shared by views on one target set
+    grid_features: Tensor    # [G, H]
+    weights: tuple           # the DECODER_PARAMS Tensors
+
+    @property
+    def shape(self) -> tuple:
+        """[n_target, C] of the prediction: dec_sig_b has one entry per
+        channel."""
+        return (self.smoother.shape[0], self.weights[-1].shape[0])
+
+
 class GaussianPrediction:
-    mu: Tensor           # [n_target, C]
-    sigma: Tensor        # [n_target, C]
+    """Per-channel Gaussian mu and sigma [n_target, C], given directly or,
+    from `ConvCnpModel.decode`, pending: built on first read from `pending`
+    (with the decoder weights' values at that time) as a group of one.
+    `losses.combined_loss` scores pending views without building them."""
+
+    def __init__(self, mu: Tensor | None = None, sigma: Tensor | None = None,
+                 pending: PendingDecode | None = None):
+        self._mu, self._sigma, self.pending = mu, sigma, pending
+
+    @property
+    def mu(self) -> Tensor:
+        return self._built()[0]
+
+    @property
+    def sigma(self) -> Tensor:
+        return self._built()[1]
+
+    def _built(self):
+        if self._mu is None:
+            p = self.pending
+            self._mu, self._sigma = ad.decode(p.smoother, p.grid_features,
+                                              p.weights, SIGMA_MIN)
+        return self._mu, self._sigma
 
 
 def _inv_softplus(y: float) -> float:
@@ -155,32 +194,25 @@ class ConvCnpModel:
 
     def decode(self, grid_features: Tensor,
                target_x: np.ndarray) -> GaussianPrediction:
-        """Smooth grid features to the targets and emit Gaussian parameters."""
+        """The Gaussian prediction at the targets from the grid features:
+        pending on the smoother onto the targets, which the views of one
+        target set share (see GaussianPrediction)."""
         target_x = np.asarray(target_x, dtype=np.float64)
         lo, hi = self.grid_x[0], self.grid_x[-1]
         if target_x.min() < lo or target_x.max() > hi:
             raise ValueError(
                 f"target x outside grid span [{lo:.3f}, {hi:.3f}]")
-        qn = self._smoother(target_x)
-        # qn @ (grid_features @ W1) == (qn @ grid_features) @ W1, with the
-        # [G, H] x [H, hidden] product in place of a [T, H] x [H, hidden] one
-        p = self.params
-        hdn = ad.relu(qn @ (grid_features @ p["dec_w1"]) + p["dec_b1"])
-        # mu and the pre-sigma from one product with both heads side by side
-        head = (hdn @ ad.concat([p["dec_mu_w"], p["dec_sig_w"]], axis=1)
-                + ad.concat([p["dec_mu_b"], p["dec_sig_b"]]))
-        c = self.config.n_channels
-        mu, pre_sigma = head[:, :c], head[:, c:]
-        sigma = ad.softplus(pre_sigma) + SIGMA_MIN
-        return GaussianPrediction(mu, sigma)
+        weights = tuple(self.params[name] for name in DECODER_PARAMS)
+        return GaussianPrediction(pending=PendingDecode(
+            self._smoother(target_x), grid_features, weights))
 
     def _smoother(self, target_x: np.ndarray) -> Tensor:
         """The row-normalised RBF smoother [T, G] from the grid onto the
         targets. The last one is kept and reused while its inputs are
         unchanged: the same raw_len_out Tensor, with an equal value and the
         same requires_grad, and equal targets. The K*M views of a step share
-        their targets, so they share one node, whose backward runs once on
-        the sum of their adjoints."""
+        their targets, so they share one node, and `losses.combined_loss`
+        decodes and scores them in one `autodiff.decode_nll` node."""
         raw = self.params["raw_len_out"]
         key = (float(raw.data), raw.requires_grad)
         memo = self._smoothed

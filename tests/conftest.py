@@ -51,6 +51,23 @@ def conv1d(x, kernel):
     return ad._make(out, (x, kernel), backward)
 
 
+def relu(a):
+    """max(a, 0) as one node whose adjoint is masked where a > 0: the
+    reference the fused conv blocks and decoder check."""
+    mask = a.data > 0
+    return ad._make(np.maximum(a.data, 0.0), (a,), lambda g: (g * mask,))
+
+
+def getitem(a, key):
+    """a.data[key] for a basic (slice or integer) index, as one node."""
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        ga[key] = g
+        return (ga,)
+
+    return ad._make(a.data[key], (a,), backward)
+
+
 def composed_rbf(d2, ell, normalize=False):
     """RBF weights from elementary ops: exp of the scaled squared distances,
     then, with `normalize` (as `autodiff.rbf`), a row sum and a divide."""

@@ -9,7 +9,7 @@ from contrnp import autodiff as ad
 from contrnp.autodiff import DomainError, ShapeMismatchError, Tensor
 
 from conftest import (check_grads, composed_rbf, composed_set_conv, conv1d,
-                      finite_diff_grads, leaf, rel_err)
+                      finite_diff_grads, getitem, leaf, rel_err, relu)
 
 TINY = np.finfo(np.float64).tiny
 
@@ -50,7 +50,7 @@ class TestForwardValues:
         assert out.data[1] == pytest.approx(1000.0)
 
     def test_relu_negative(self):
-        assert ad.relu(Tensor(-3.0)).item() == 0.0
+        assert relu(Tensor(-3.0)).item() == 0.0
 
     def test_conv1d_hand_example(self):
         # same padding: a width-W box kernel over ones counts the in-range
@@ -176,6 +176,19 @@ def out_of_place_grad(loss, leaf_tensor):
     return grad
 
 
+def decoder_op(output):
+    """`autodiff.decode_nll`, or `decode`'s sigma, of a smoother [5, 4],
+    grid features [4, 3] and W1 [3, 2], with constant biases and heads over
+    2 channels."""
+    def op(qn, grid, w1):
+        weights = (w1, *(Tensor(np.full(shape, 0.5)) for shape in
+                         [(2,), (2, 2), (2,), (2, 2), (2,)]))
+        if output == "nll":
+            return ad.decode_nll(qn, [grid], [np.ones((5, 2))], weights, 1e-4)
+        return ad.decode(qn, grid, weights, 1e-4)[1]
+    return op
+
+
 class TestTapeRule:
     """`requires_grad` is the one graph flag: an op's output has it exactly
     when an operand has it, and only then records parents and a backward."""
@@ -190,19 +203,21 @@ class TestTapeRule:
         "conv1d": (conv1d, [(2, 3, 8), (4, 3, 3)]),
         "conv_block": (ad.conv_block, [(2, 3, 8), (4, 3, 3), (4,)]),
         "conv_block_residual": (ad.conv_block, [(2, 4, 8), (4, 4, 3), (4,)]),
-        "relu": (ad.relu, [(3, 4)]),
+        "relu": (relu, [(3, 4)]),
         "softplus": (ad.softplus, [(3, 4)]),
         "exp": (ad.exp, [(3, 4)]),
         "log": (lambda a: ad.log(ad.exp(a)), [(3, 4)]),
         "sqrt": (lambda a: ad.sqrt(ad.exp(a)), [(3, 4)]),
         "sum_axis": (lambda a: ad.sum_axis(a, axis=0), [(3, 4)]),
         "mean_axis": (ad.mean_axis, [(3, 4)]),
-        "getitem": (lambda a: a[1:, :2], [(3, 4)]),
+        "getitem": (lambda a: getitem(a, np.s_[1:, :2]), [(3, 4)]),
         "reshape": (lambda a: a.reshape(4, 3), [(3, 4)]),
         "transpose": (ad.transpose, [(3, 4)]),
         "rbf": (lambda a: ad.rbf(np.ones((3, 4)), a), [()]),
         "set_conv": (lambda a: ad.set_conv(np.ones((3, 4)), np.ones((4, 2)),
                                            a, 1e-6), [()]),
+        "decode_nll": (decoder_op("nll"), [(5, 4), (4, 3), (3, 2)]),
+        "decode_sigma": (decoder_op("sigma"), [(5, 4), (4, 3), (3, 2)]),
     }
     CASES = [(name, flags) for name, (_, shapes) in OPS.items()
              for flags in itertools.product([False, True], repeat=len(shapes))]
@@ -302,7 +317,7 @@ class TestGradientChecks:
             lambda: ad.sum_axis(x - y),
             lambda: ad.sum_axis(x * y),
             lambda: ad.sum_axis(x / (y * y + 1.0)),
-            lambda: ad.sum_axis(ad.relu(x) * y),
+            lambda: ad.sum_axis(relu(x) * y),
             lambda: ad.sum_axis(ad.softplus(x)),
             lambda: ad.sum_axis(ad.exp(x * 0.3)),
             lambda: ad.sum_axis(ad.log(ad.softplus(x) + 0.1)),
@@ -339,7 +354,7 @@ class TestGradientChecks:
         # conv1d pads by (W - 1) / 2: width 2 * padding + 1
         x = leaf(rng, 2, 3, 10)
         k = leaf(rng, 4, 3, 2 * padding + 1)
-        check_grads(lambda: ad.sum_axis(ad.relu(conv1d(x, k))), [x, k])
+        check_grads(lambda: ad.sum_axis(relu(conv1d(x, k))), [x, k])
 
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("width,padding",
@@ -509,8 +524,9 @@ class TestRbf:
 
     def test_getitem_gradient(self, rng):
         x = leaf(rng, 3, 4)
-        check_grads(lambda: ad.sum_axis(x[:, 1:3] * x[:, :2])
-                    + ad.sum_axis(ad.exp(x[1] * 0.5)), [x])
+        check_grads(lambda: ad.sum_axis(getitem(x, np.s_[:, 1:3])
+                                        * getitem(x, np.s_[:, :2]))
+                    + ad.sum_axis(ad.exp(getitem(x, 1) * 0.5)), [x])
 
 
 class TestConvBlock:
@@ -527,7 +543,7 @@ class TestConvBlock:
         g = Tensor(r.standard_normal((batch, c_out, 9)))
 
         def chain():
-            z = ad.relu(conv1d(h, k) + b.reshape(1, c_out, 1))
+            z = relu(conv1d(h, k) + b.reshape(1, c_out, 1))
             return z + h if residual else z
 
         results = []
@@ -600,5 +616,5 @@ def test_hypothesis_gradcheck_chain(n, m, seed):
 def test_hypothesis_forward_finite(seed):
     r = np.random.default_rng(seed)
     x = Tensor(r.standard_normal((3, 5)) * 5.0)
-    out = ad.softplus(ad.relu(x) - ad.exp(x * -1.0))
+    out = ad.softplus(relu(x) - ad.exp(x * -1.0))
     assert np.all(np.isfinite(out.data))

@@ -5,14 +5,16 @@ from contrnp import autodiff as ad
 from contrnp.autodiff import Tensor
 from contrnp.data import Segment, sample_views
 from contrnp.evaluate import extract
-from contrnp.losses import gaussian_nll
+from contrnp import losses
+from contrnp.losses import ContrastiveConfig, combined_loss, gaussian_nll
 from contrnp.train import Adam
-from contrnp.model import (DENSITY_EPS, CheckpointError, ConvCnpModel,
-                           GaussianPrediction, ModelConfig, Representation,
-                           SIGMA_MIN, load_checkpoint, save_checkpoint)
+from contrnp.model import (DECODER_PARAMS, DENSITY_EPS, CheckpointError,
+                           ConvCnpModel, GaussianPrediction, ModelConfig,
+                           Representation, SIGMA_MIN, load_checkpoint,
+                           save_checkpoint)
 
 from conftest import (check_grads, composed_rbf, composed_set_conv, conv1d,
-                      flip_byte_in, translate_check)
+                      flip_byte_in, leaf, relu, translate_check)
 
 
 SMALL = ModelConfig(grid_size=32, cnn_depth=2, cnn_width=8, d_r=6,
@@ -169,7 +171,7 @@ def composed_encode(model, channels):
     h = ad.transpose(channels).reshape(1, 1 + c.n_channels, c.grid_size)
     for i in range(c.cnn_depth):
         z = conv1d(h, p[f"conv{i}_w"])
-        z = ad.relu(z + p[f"conv{i}_b"].reshape(1, c.cnn_width, 1))
+        z = relu(z + p[f"conv{i}_b"].reshape(1, c.cnn_width, 1))
         h = z + h if h.shape == z.shape else z
     grid_features = ad.transpose(h.reshape(c.cnn_width, c.grid_size))
     pooled = ad.mean_axis(grid_features, axis=0).reshape(1, c.cnn_width)
@@ -178,23 +180,35 @@ def composed_encode(model, channels):
 
 
 def composed_decode(model, grid_features, target_x):
-    """`decode` op by op: exp/sum/divide smoother, the smoothed features
-    times dec_w1, and one product per head."""
+    """The decoder op by op: exp/sum/divide smoother, the smoothed features
+    times dec_w1, bias add and relu, and one product per head."""
     p = model.params
     ell = ad.softplus(p["raw_len_out"])
     qn = composed_rbf((target_x[:, None] - model.grid_x[None, :]) ** 2, ell,
                       normalize=True)
     smoothed = qn @ grid_features
-    hdn = ad.relu(smoothed @ p["dec_w1"] + p["dec_b1"])
+    hdn = relu(smoothed @ p["dec_w1"] + p["dec_b1"])
     mu = hdn @ p["dec_mu_w"] + p["dec_mu_b"]
     pre_sigma = hdn @ p["dec_sig_w"] + p["dec_sig_b"]
     return GaussianPrediction(mu, ad.softplus(pre_sigma) + SIGMA_MIN)
 
 
+def max_rel_err(got, want):
+    """Largest error relative to the largest entry of `want`: reassociated
+    products round differently, which an entry near 0 would magnify."""
+    scale = np.max(np.abs(want))
+    assert scale > 0
+    return np.max(np.abs(got - want)) / scale
+
+
+def decoder_weights(model):
+    return tuple(model.params[name] for name in DECODER_PARAMS)
+
+
 class TestComposedOracle:
-    """The fused set convolution and conv blocks, the fused smoother, the
-    reassociated hidden layer and the joint head product give the op-by-op
-    model's predictions and gradients."""
+    """The fused set convolution and conv blocks, the fused smoother and the
+    grouped decode-and-score node give the op-by-op model's predictions,
+    losses and gradients."""
 
     @staticmethod
     def run(model, embed, encode, decode, x, y, tx, ty):
@@ -226,12 +240,74 @@ class TestComposedOracle:
                  ("sigma", pred.sigma.data, want_pred.sigma.data),
                  *((k, grads[k], want_grads[k]) for k in model.params)]
         for name, got, want in pairs:
-            # relative to the largest entry: the reassociated products round
-            # differently, which an entry near 0 would magnify
-            scale = np.max(np.abs(want))
-            assert scale > 0, name
-            err = np.max(np.abs(got - want)) / scale
+            err = max_rel_err(got, want)
             assert err <= 1e-12, f"{name}: relative error {err:.3g}"
+
+    @pytest.mark.parametrize("n_views", [1, 3])
+    @pytest.mark.parametrize("n_channels", [1, 3])
+    def test_decode_nll_matches_op_by_op_decoder(self, rng, n_channels,
+                                                 n_views):
+        config = ModelConfig(**{**SMALL.__dict__, "n_channels": n_channels})
+        model = ConvCnpModel(config, rng)
+        tx = np.sort(rng.uniform(0.0, 1.0, 200))
+        grids = [leaf(rng, config.grid_size, config.cnn_width)
+                 for _ in range(n_views)]
+        ys = [rng.standard_normal((200, n_channels)) for _ in range(n_views)]
+        # a different adjoint for each view's NLL
+        weights = Tensor(rng.uniform(0.5, 2.0, n_views))
+        leaves = [model.params["raw_len_out"], *decoder_weights(model),
+                  *grids]
+
+        def grads_of(loss):
+            for t in leaves:
+                t.zero_grad()
+            loss.backward()
+            return [t.grad.copy() for t in leaves]
+
+        qn = model._smoother(tx)
+        nll = ad.decode_nll(qn, grids, ys, decoder_weights(model), SIGMA_MIN)
+        got_grads = grads_of(ad.sum_axis(nll * weights))
+        mu, sigma, _ = ad._decoder(qn, grids, decoder_weights(model),
+                                   SIGMA_MIN)
+        preds = [composed_decode(model, f, tx) for f in grids]
+        want_nll = ad.concat([gaussian_nll(p, y).reshape(1)
+                              for p, y in zip(preds, ys)])
+        want_grads = grads_of(ad.sum_axis(want_nll * weights))
+        pairs = [("nll", nll.data, want_nll.data),
+                 *((f"mu{v}", mu[v], p.mu.data) for v, p in enumerate(preds)),
+                 *((f"sigma{v}", sigma[v], p.sigma.data)
+                   for v, p in enumerate(preds)),
+                 *((f"grad {i}", g, w)
+                   for i, (g, w) in enumerate(zip(got_grads, want_grads)))]
+        for name, got, want in pairs:
+            err = max_rel_err(got, want)
+            assert err <= 1e-12, f"{name}: relative error {err:.3g}"
+
+    def test_decode_nll_finite_differences(self, rng):
+        model = ConvCnpModel(ModelConfig(grid_size=8, cnn_depth=1,
+                                         cnn_width=3, d_r=2, decoder_hidden=3,
+                                         cnn_kernel=3, n_channels=2), rng)
+        tx = np.linspace(0.0, 1.0, 7)
+        grids = [leaf(rng, 8, 3) for _ in range(3)]
+        ys = [rng.standard_normal((7, 2)) for _ in range(3)]
+        weights = Tensor(np.array([0.5, 1.0, 2.0]))
+
+        def build():
+            return ad.sum_axis(weights * ad.decode_nll(
+                model._smoother(tx), grids, ys, decoder_weights(model),
+                SIGMA_MIN))
+
+        check_grads(build, [model.params["raw_len_out"],
+                            *decoder_weights(model), *grids])
+
+    def test_decoder_backward_runs_once(self, model, rng):
+        tx = np.linspace(0.0, 1.0, 20)
+        nll = ad.decode_nll(model._smoother(tx), [leaf(rng, 32, 8)],
+                            [rng.standard_normal((20, 1))],
+                            decoder_weights(model), SIGMA_MIN)
+        ad.sum_axis(nll).backward()
+        with pytest.raises(RuntimeError, match="once per forward pass"):
+            ad.sum_axis(nll * 2.0).backward()
 
     def test_extract_equals_composed_forward(self, rng, tmp_path):
         # the representations `contrnp eval` writes, from a frozen model
@@ -322,38 +398,70 @@ class TestSharedSmoother:
         return out
 
     @staticmethod
-    def loss(model, views):
-        preds, terms = [], []
-        for x, y, tx, ty in views:
+    def forward(model, views):
+        """Pending predictions and representations of `views`."""
+        preds, reps = [], []
+        for x, y, tx, _ in views:
             grid_features, rep = model.encode(model.embed_context(x, y))
             preds.append(model.decode(grid_features, tx))
-            terms += [gaussian_nll(preds[-1], ty), ad.mean_axis(rep.r * rep.r)]
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
-        return preds, total
+            reps.append(rep)
+        return preds, reps
+
+    @staticmethod
+    def plus_rep_terms(loss, reps):
+        for rep in reps:
+            loss = loss + ad.mean_axis(rep.r * rep.r)
+        return loss
+
+    @classmethod
+    def scored(cls, model, views, grouped):
+        """Per-view NLLs and a loss over the views: `gaussian_nll` of each
+        prediction (built as a group of one) or, grouped, one
+        `combined_loss` call."""
+        preds, reps = cls.forward(model, views)
+        targets = [ty for *_, ty in views]
+        if grouped:
+            nlls = losses._view_nlls(preds, targets).data
+            breakdown = combined_loss(preds, targets, [reps[:2], reps[2:]],
+                                      1.0, ContrastiveConfig())
+            total = breakdown.nll * float(len(views))
+        else:
+            per_view = [gaussian_nll(p, ty) for p, ty in zip(preds, targets)]
+            nlls = np.array([t.item() for t in per_view])
+            total = per_view[0]
+            for t in per_view[1:]:
+                total = total + t
+        return preds, nlls, cls.plus_rep_terms(total, reps)
 
     @pytest.mark.parametrize("n_channels", [1, 3])
     def test_matches_per_view_decode(self, rng, n_channels):
+        # two target sets: the views on `shared`, then `other`, then
+        # `shared` again; grouped, three decode-and-score nodes
         config = ModelConfig(**{**SMALL.__dict__, "n_channels": n_channels})
         views = self.views(rng, n_channels)
-        model = twin(config)
-        preds, total = self.loss(model, views)
-        total.backward()
-        want_grads = {k: 0.0 for k in model.params}
-        for view, pred in zip(views, preds):
-            alone = twin(config)
-            (want,), loss = self.loss(alone, [view])
-            loss.backward()
-            for k, p in alone.params.items():
-                want_grads[k] = want_grads[k] + p.grad
-            np.testing.assert_array_equal(pred.mu.data, want.mu.data)
-            np.testing.assert_array_equal(pred.sigma.data, want.sigma.data)
-        for k, p in model.params.items():
-            scale = np.max(np.abs(want_grads[k]))
-            assert scale > 0, k
-            err = np.max(np.abs(p.grad - want_grads[k])) / scale
-            assert err <= 1e-12, f"{k}: relative error {err:.3g}"
+        for grouped in (False, True):
+            model = twin(config)
+            preds, nlls, total = self.scored(model, views, grouped)
+            total.backward()
+            want_grads = {k: 0.0 for k in model.params}
+            for i, (view, pred) in enumerate(zip(views, preds)):
+                alone = twin(config)
+                (want,), rep = self.forward(alone, [view])
+                composed = composed_decode(
+                    alone, want.pending.grid_features, view[2])
+                want_nll = gaussian_nll(composed, view[3])
+                self.plus_rep_terms(want_nll, rep).backward()
+                for k, p in alone.params.items():
+                    want_grads[k] = want_grads[k] + p.grad
+                assert nlls[i] == pytest.approx(want_nll.item(), rel=1e-12,
+                                                abs=0)
+                np.testing.assert_array_equal(pred.mu.data, want.mu.data)
+                np.testing.assert_array_equal(pred.sigma.data,
+                                              want.sigma.data)
+            for k, p in model.params.items():
+                err = max_rel_err(p.grad, want_grads[k])
+                assert err <= 1e-12, \
+                    f"{k}, grouped {grouped}: relative error {err:.3g}"
 
     def test_equal_targets_share_one_node(self, model):
         tx = np.linspace(0.0, 1.0, 50)
@@ -386,6 +494,45 @@ class TestSharedSmoother:
         got, want = (lengthscale_grad(m, x, y, tx) for m in (model, fresh))
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1]
+
+
+def reachable_nodes(*roots) -> int:
+    """Tensors reachable from `roots` through the recorded parents."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_decode_adds_nodes_per_target_set_not_per_view(rng):
+    # 2 segments x M views on one target set: from M = 2 to M = 4, the loss
+    # graph grows only by what the encoders and the contrastive term add
+    model = ConvCnpModel(SMALL, rng)
+    tx = np.linspace(0.0, 1.0, 40)
+
+    def graph_sizes(m):
+        preds, targets, reps, grids = [], [], [], []
+        for _ in range(2):
+            row = []
+            for _ in range(m):
+                grid_features, rep = model.encode(
+                    model.embed_context(*sine_context(rng)))
+                preds.append(model.decode(grid_features, tx))
+                targets.append(rng.standard_normal((40, 1)))
+                grids.append(grid_features)
+                row.append(rep)
+            reps.append(row)
+        breakdown = combined_loss(preds, targets, reps, 0.01,
+                                  ContrastiveConfig())
+        return (reachable_nodes(breakdown.total),
+                reachable_nodes(breakdown.contrastive, *grids))
+
+    (total2, rest2), (total4, rest4) = graph_sizes(2), graph_sizes(4)
+    assert rest4 > rest2
+    assert total4 - total2 == rest4 - rest2
 
 
 class TestCheckpoint:
