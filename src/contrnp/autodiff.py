@@ -372,7 +372,14 @@ def _conv(x: Tensor, kernel: Tensor):
     kernel[C_out, C*W] @ columns[B, C*W, L]. Returns the output array and
     the backward that maps its adjoint to (gx, gkernel); the backward
     rebuilds the columns from the padded input rather than keeping them
-    alive."""
+    alive.
+
+    The backward is two GEMMs. The kernel's adjoint is g[C_out, B*L] @
+    columns[C*W, B*L].T. The columns' adjoint k2.T @ g is written into a
+    zeroed buffer whose rows have stride P + 1 (P = L + 2*pad), so row
+    c*W + w lands shifted right by w; read back with row stride P from
+    offset pad, each input position sees its W terms stacked, and one sum
+    over them (in order w = 0..W-1) undoes the im2col."""
     if x.ndim != 3 or kernel.ndim != 3:
         raise ShapeMismatchError(
             f"convolution expects x[B,C,L], kernel[C_out,C,W]; "
@@ -392,12 +399,16 @@ def _conv(x: Tensor, kernel: Tensor):
 
     def backward(g):
         cols = _im2col(xp, W, L)
-        gk = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(C_out, C, W)
-        gcols = (k2.T @ g).reshape(B, C, W, L)
-        gxp = np.zeros_like(xp)
-        for w in range(W):
-            gxp[:, :, w:w + L] += gcols[:, :, w]
-        return (gxp[:, :, pad:pad + L], gk)
+        gk = (g.transpose(1, 0, 2).reshape(C_out, B * L)
+              @ cols.transpose(1, 0, 2).reshape(C * W, B * L).T)
+        P = L + 2 * pad
+        skew = np.zeros((B, C, W * (P + 1)))
+        s0, s1, s2 = skew.strides
+        np.matmul(k2.T, g, out=np.ndarray((B, C * W, L), skew.dtype, skew, 0,
+                                          (s0, (P + 1) * s2, s2)))
+        stacked = np.ndarray((B, C, W, L), skew.dtype, skew, pad * s2,
+                             (s0, s1, P * s2, s2))
+        return stacked.sum(axis=2), gk.reshape(C_out, C, W)
 
     return out, backward
 

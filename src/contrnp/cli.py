@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: synth, train, eval, sweep-labels, forecast. Every command
-writes a manifest JSON (resolved config, seed, content hashes of inputs)
+writes a manifest JSON (resolved config, seed, content hashes of inputs,
+and the Python/numpy/BLAS environment that bitwise reproduction needs)
 next to its outputs so a run can be reproduced from the manifest alone.
 
 Exit codes: 0 success, 1 usage error, 2 data or path error, 3 numeric failure.
@@ -11,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 
@@ -95,6 +98,34 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _blas_threads():
+    """Thread count of the OpenBLAS that numpy loaded, or None if unknown."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = {line.split()[-1] for line in f if "openblas" in line.lower()}
+        libs = [ctypes.CDLL(path) for path in sorted(libs)]
+    except OSError:
+        return None
+    for lib in libs:
+        for sym in ("scipy_openblas_get_num_threads64_",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return int(fn())
+    return None
+
+
+def _numerics_environment() -> dict:
+    """What the bitwise-determinism guarantee is scoped to: the Python and
+    numpy versions, the BLAS build and its thread count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": _blas_threads()}
+
+
 def write_manifest(out_dir: Path, command: str, config: dict, seed: int,
                    inputs: list):
     manifest = {
@@ -102,6 +133,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed: int,
         "config": config,
         "seed": seed,
         "inputs": {str(p): _sha256(p) for p in inputs},
+        "environment": _numerics_environment(),
     }
     (out_dir / f"manifest_{command}.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -36,6 +36,7 @@ class LossBreakdown:
     total: Tensor
     nll: Tensor
     contrastive: Tensor
+    grad_norm: float | None = None  # set by train_step: the norm before clipping
 
 
 def contrastive_loss(reps, cfg: ContrastiveConfig) -> Tensor:

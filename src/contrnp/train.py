@@ -76,18 +76,22 @@ class TrainConfig(ArchConfig):
 
 @dataclass
 class TrainLog:
-    records: list = field(default_factory=list)  # (step, nll, contr, total, ms)
+    # (step, nll, contr, total, ms, grad_norm, clipped)
+    records: list = field(default_factory=list)
 
-    def append(self, step, nll, contrastive, total, wall_ms):
-        self.records.append((step, nll, contrastive, total, wall_ms))
+    def append(self, step, nll, contrastive, total, wall_ms, grad_norm,
+               clipped):
+        self.records.append((step, nll, contrastive, total, wall_ms,
+                             grad_norm, clipped))
 
     def write_csv(self, path):
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["step", "nll", "contrastive", "total", "wall_ms"])
+            w.writerow(["step", "nll", "contrastive", "total", "wall_ms",
+                        "grad_norm", "clipped"])
             for rec in self.records:
                 w.writerow([rec[0], repr(rec[1]), repr(rec[2]), repr(rec[3]),
-                            f"{rec[4]:.1f}"])
+                            f"{rec[4]:.1f}", repr(rec[5]), int(rec[6])])
 
 
 class Adam:
@@ -122,7 +126,7 @@ class Adam:
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
     # zero_grad gives every parameter a gradient; returns the norm before
     total = np.sqrt(sum(float(np.sum(p.grad ** 2)) for p in params.values()))
-    if max_norm > 0 and total > max_norm:
+    if 0 < max_norm < total:
         scale = max_norm / total
         for p in params.values():
             p.grad *= scale
@@ -145,7 +149,8 @@ def train_step(model: ConvCnpModel, batch, cfg: TrainConfig, opt: Adam):
                               ContrastiveConfig(tau=cfg.tau, mode=cfg.loss_mode))
     opt.zero_grad()
     breakdown.total.backward()
-    grad_norm = clip_gradients(model.params, cfg.clip_norm)
+    grad_norm = breakdown.grad_norm = float(
+        clip_gradients(model.params, cfg.clip_norm))
     if not np.isfinite(grad_norm):
         # clipping cannot catch this: nan > max_norm is False
         raise NumericError(
@@ -187,6 +192,8 @@ def train(segments: list[Segment],
                 raise NumericError(
                     f"non-finite loss at step {step}: "
                     f"nll={nll}, contrastive={contr}, total={total}")
+            norm = breakdown.grad_norm
             log.append(step, nll, contr, total,
-                       (time.perf_counter() - t0) * 1000.0)
+                       (time.perf_counter() - t0) * 1000.0, norm,
+                       0 < cfg.clip_norm < norm)
     return model, log

@@ -51,6 +51,31 @@ def conv1d(x, kernel):
     return ad._make(out, (x, kernel), backward)
 
 
+def reference_conv(x, kernel):
+    """`autodiff._conv` with its earlier backward: the kernel's adjoint from
+    `np.tensordot`, and col2im as one strided slice-add per kernel tap into
+    a padded buffer. The oracle for the two-GEMM backward, which must match
+    it bitwise at batch size 1."""
+    B, C, L = x.shape
+    C_out, _, W = kernel.shape
+    pad = (W - 1) // 2
+    xp = np.zeros((B, C, L + 2 * pad))
+    xp[:, :, pad:pad + L] = x.data
+    k2 = kernel.data.reshape(C_out, C * W)
+    out = k2 @ ad._im2col(xp, W, L)
+
+    def backward(g):
+        cols = ad._im2col(xp, W, L)
+        gk = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(C_out, C, W)
+        gcols = (k2.T @ g).reshape(B, C, W, L)
+        gxp = np.zeros_like(xp)
+        for w in range(W):
+            gxp[:, :, w:w + L] += gcols[:, :, w]
+        return (gxp[:, :, pad:pad + L], gk)
+
+    return out, backward
+
+
 def relu(a):
     """max(a, 0) as one node whose adjoint is masked where a > 0: the
     reference the fused conv blocks and decoder check."""

@@ -1,6 +1,6 @@
 """Acceptance suite: nine end-to-end criteria, one printed PASS/FAIL line
 each.  Training-based criteria share session-scoped fixtures; the whole
-module runs in about 4 minutes (236-256 s) on a 2-core CPU.
+module runs in about 3.5 minutes (202-206 s) on a 2-core CPU.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines interleaved with pytest's own output.

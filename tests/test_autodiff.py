@@ -9,7 +9,8 @@ from contrnp import autodiff as ad
 from contrnp.autodiff import DomainError, ShapeMismatchError, Tensor
 
 from conftest import (check_grads, composed_rbf, composed_set_conv, conv1d,
-                      finite_diff_grads, getitem, leaf, rel_err, relu)
+                      finite_diff_grads, getitem, leaf, reference_conv,
+                      rel_err, relu)
 
 TINY = np.finfo(np.float64).tiny
 
@@ -557,6 +558,42 @@ class TestConvBlock:
         assert np.any(pre < 0) and np.any(pre > 0)  # relu masks some
         for got, want in zip(*results):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+class TestConvBackward:
+    """`_conv`'s two-GEMM backward against `conftest.reference_conv`, the
+    tensordot-and-slice-add backward it replaced: bitwise at batch size 1,
+    which is all the program runs, and to rounding at a larger batch."""
+
+    SHAPES = pytest.mark.parametrize("c_in, c_out, width, length", [
+        (2, 32, 7, 64), (32, 32, 7, 64),   # the WAVE layers
+        (2, 64, 5, 64), (64, 64, 5, 64),   # the TrainConfig layers
+        (3, 4, 7, 2), (3, 4, 1, 9)],       # kernel past both ends; one tap
+        ids=["wave_in", "wave_mid", "paper_in", "paper_mid", "L2_W7", "W1"])
+
+    @staticmethod
+    def both(batch, c_in, c_out, width, length):
+        r = np.random.default_rng([batch, c_in, c_out, width, length])
+        x = Tensor(r.standard_normal((batch, c_in, length)))
+        k = Tensor(r.standard_normal((c_out, c_in, width)))
+        g = r.standard_normal((batch, c_out, length))
+        (out, backward), (want_out, want_backward) = (
+            ad._conv(x, k), reference_conv(x, k))
+        np.testing.assert_array_equal(out, want_out)
+        return backward(g), want_backward(g)
+
+    @SHAPES
+    def test_bitwise_at_batch_one(self, c_in, c_out, width, length):
+        got, want = self.both(1, c_in, c_out, width, length)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @SHAPES
+    def test_close_at_batch_three(self, c_in, c_out, width, length):
+        got, want = self.both(3, c_in, c_out, width, length)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
 
 class TestConstantOperands:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from contrnp.cli import main, parse_config_file
+from contrnp.cli import _blas_threads, main, parse_config_file
 from contrnp.model import load_checkpoint, save_checkpoint
 from contrnp.train import TrainConfig
 
@@ -143,7 +144,8 @@ class TestTrain:
     def test_outputs_exist(self, trained):
         assert (trained / "model.ckpt").exists()
         rows = read_csv(trained / "train_log.csv")
-        assert rows[0] == ["step", "nll", "contrastive", "total", "wall_ms"]
+        assert rows[0] == ["step", "nll", "contrastive", "total", "wall_ms",
+                           "grad_norm", "clipped"]
         assert len(rows) > 1
         assert (trained / "manifest_train.json").exists()
 
@@ -200,7 +202,8 @@ class TestTrain:
         assert capsys.readouterr().out == \
             f"trained 0 steps; checkpoint at {out / 'model.ckpt'}\n"
         assert read_csv(out / "train_log.csv") == [
-            ["step", "nll", "contrastive", "total", "wall_ms"]]
+            ["step", "nll", "contrastive", "total", "wall_ms", "grad_norm",
+             "clipped"]]
 
     def test_input_not_mutated(self, tmp_path, dataset, config):
         before = dataset.read_bytes()
@@ -220,6 +223,37 @@ class TestEval:
         assert rows[0] == ["metric", "value", "seed"]
         assert [r[0] for r in rows[1:]] == ["accuracy", "auprc", "silhouette",
                                             "davies_bouldin"]
+
+    def test_manifests_record_numerics_environment(self, tmp_path, dataset,
+                                                    trained):
+        out = tmp_path / "ev"
+        main(["eval", "--checkpoint", str(trained / "model.ckpt"),
+              "--data", str(dataset), "--out", str(out)])
+        for path in (trained / "manifest_train.json",
+                     out / "manifest_eval.json"):
+            env = json.loads(path.read_text())["environment"]
+            assert env["python"] == platform.python_version()
+            assert env["numpy"] == np.__version__
+            assert env["blas"] and env["blas"] != "None None"
+            threads = env["blas_threads"]
+            assert threads is None or (isinstance(threads, int)
+                                       and threads >= 1)
+
+    def test_manifest_records_the_blas_thread_setting(self, tmp_path):
+        # a fresh interpreter, since OpenBLAS reads OPENBLAS_NUM_THREADS
+        # once, when numpy loads it
+        out = tmp_path / "d.csv"
+        env = {**os.environ, "PYTHONPATH": str(SRC),
+               "OPENBLAS_NUM_THREADS": "1"}
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from contrnp.cli import main; sys.exit(main())",
+             "synth", "--classes", "2", "--segments", "2", "--window", "20",
+             "--out", str(out)], check=True, capture_output=True, env=env)
+        manifest = json.loads((tmp_path / "manifest_synth.json").read_text())
+        unreadable = _blas_threads() is None
+        assert manifest["environment"]["blas_threads"] == (
+            None if unreadable else 1)
 
     def test_determinism_across_runs(self, tmp_path, dataset, trained):
         outs = []

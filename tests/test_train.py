@@ -9,7 +9,7 @@ from contrnp.model import ConvCnpModel
 from contrnp.train import (Adam, NumericError, TrainConfig, TrainLog,
                            clip_gradients, train, train_step)
 
-from conftest import finite_diff_grads, rel_err
+from conftest import finite_diff_grads, reference_conv, rel_err
 
 
 SMALL_CFG = dict(window_size=64, grid_size=16, cnn_depth=2, cnn_width=8,
@@ -62,12 +62,14 @@ class TestClipGradients:
 class TestTrainLog:
     def test_csv_schema(self, tmp_path):
         log = TrainLog()
-        log.append(1, 0.1, 0.2, 0.3, 5.0)
+        log.append(1, 0.1, 0.2, 0.3, 5.0, 12.5, True)
         path = tmp_path / "log.csv"
         log.write_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "step,nll,contrastive,total,wall_ms"
+        assert lines[0] == ("step,nll,contrastive,total,wall_ms,grad_norm,"
+                            "clipped")
         assert lines[1].startswith("1,0.1,0.2,")
+        assert lines[1].endswith(",5.0,12.5,1")
 
 
 class TestTrainLoop:
@@ -104,10 +106,57 @@ class TestTrainLoop:
         k, m = cfg.k_per_batch, cfg.m
         lo = np.log((k - 1) * m) - 2 / cfg.tau
         hi = np.log((k - 1) * m) + 2 / cfg.tau
-        for step, nll, contr, total, wall in log.records:
+        for step, nll, contr, total, wall, _, _ in log.records:
             assert lo - 1e-9 <= contr <= hi + 1e-9
             assert total == pytest.approx(cfg.lam * nll + contr, rel=1e-12)
             assert wall >= 0
+
+
+class TestHealthColumns:
+    @pytest.mark.parametrize("clip_norm", [1e-3, 1e3])
+    def test_grad_norm_finite_and_clipped_iff_above_clip_norm(self, rng,
+                                                              clip_norm):
+        cfg = TrainConfig(**SMALL_CFG, epochs=2, clip_norm=clip_norm)
+        _, log = train(small_dataset(rng), cfg)
+        norms = [r[5] for r in log.records]
+        clipped = [r[6] for r in log.records]
+        assert len(norms) == 8
+        assert all(np.isfinite(norms))
+        assert clipped == [n > clip_norm for n in norms]
+        # 1e-3 clips every step and 1e3 none, so both outcomes are seen
+        assert set(clipped) == {clip_norm < 1}
+
+    def test_train_step_reports_the_norm_before_clipping(self, rng):
+        cfg = TrainConfig(**SMALL_CFG, clip_norm=1e-3)
+        model = ConvCnpModel(cfg.model_config(1), rng)
+        opt = Adam(model.params, lr=cfg.learning_rate)
+        batch = make_batch(small_dataset(rng)[:cfg.k_per_batch], cfg.m,
+                           cfg.a, cfg.b, cfg.n_context_range, rng)
+        breakdown = train_step(model, batch, cfg, opt)
+        after = np.sqrt(sum(np.sum(p.grad ** 2)
+                            for p in model.params.values()))
+        assert breakdown.grad_norm > cfg.clip_norm
+        assert after == pytest.approx(cfg.clip_norm, rel=1e-12)
+
+
+class TestConvBackwardInTraining:
+    def test_steps_bitwise_equal_to_reference_backward(self, monkeypatch):
+        # WAVE's CNN (4 layers of width 32, kernel 7, grid 64): 3 steps
+        cfg = TrainConfig(window_size=200, grid_size=64, cnn_depth=4,
+                          cnn_width=32, cnn_kernel=7, d_r=16,
+                          decoder_hidden=16, epochs=1, seed=5)
+        segs = synth_generate(3, 8, 200, 0.05, np.random.default_rng(2))
+        runs = []
+        for conv in (ad._conv, reference_conv):
+            monkeypatch.setattr(ad, "_conv", conv)
+            model, log = train(segs, cfg)
+            # nll, contrastive, total and grad_norm of every step
+            terms = np.array([r[1:4] + r[5:6] for r in log.records])
+            runs.append((terms.shape, terms.tobytes(),
+                         {k: p.data.tobytes()
+                          for k, p in model.params.items()}))
+        assert runs[0][0] == (3, 4)
+        assert runs[0] == runs[1]
 
 
 class TestNonFiniteGradients:
