@@ -11,6 +11,7 @@ accumulates gradients additively into the leaves' .grad buffers.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 
@@ -263,21 +264,29 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeMismatchError(f"transpose expects a matrix, got {a.shape}")
-    return _make(a.data.T.copy(), (a,), lambda g: (g.T,))
+    """The matrix transpose of a[M, N], or of each matrix of a stack
+    a[B, M, N]."""
+    if a.ndim not in (2, 3):
+        raise ShapeMismatchError(
+            f"transpose expects a matrix or a stack of them, got {a.shape}")
+    return _make(np.swapaxes(a.data, -1, -2).copy(), (a,),
+                 lambda g: (np.swapaxes(g, -1, -2),))
 
 
 # -- linear algebra -----------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """a[M, K] @ b[K, N], or a stack a[B, M, K] @ b[K, N]: numpy computes a
+    stack one matrix at a time, so each of its products is bitwise the one
+    of that matrix alone."""
+    if a.ndim not in (2, 3) or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeMismatchError(
             f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = a.data @ b.data
     return _make(out, (a, b), lambda g: (
         g @ b.data.T if a.requires_grad else None,
-        a.data.T @ g if b.requires_grad else None))
+        a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1])
+        if b.requires_grad else None))
 
 
 _TINY = np.finfo(np.float64).tiny
@@ -354,14 +363,42 @@ def set_conv(d2: np.ndarray, y: np.ndarray, ell: Tensor,
     return _make(out, (ell,), backward)
 
 
-def _im2col(xp: np.ndarray, W: int, L_out: int) -> np.ndarray:
-    """Columns [B, C*W, L_out] of padded xp[B,C,L_pad]: row c*W + w holds
-    xp[:, c, w:w + L_out], matching kernel.reshape(C_out, C*W)."""
-    B, C, _ = xp.shape
+@functools.lru_cache(maxsize=8)
+def _im2col_arrays(B: int, C: int, L: int, W: int):
+    """The arrays `_im2col` writes for inputs [B, C, L] and kernel width W:
+    the interior of a zero-padded input xp[B, C, L + W - 1], a window view
+    [C, W, B, L] of xp, and the columns [C, W, B, L] with their [C*W, B*L]
+    view. One set per layer shape, which every call on that shape reuses:
+    fresh columns, up to 0.9 MB per call for eight WAVE views, were trimmed
+    by glibc between calls and faulted in again."""
+    pad = (W - 1) // 2
+    xp = np.zeros((B, C, L + 2 * pad))
     s0, s1, s2 = xp.strides
     # a direct view: much cheaper per call than as_strided
-    windows = np.ndarray((B, C, W, L_out), xp.dtype, xp, 0, (s0, s1, s2, s2))
-    return windows.reshape(B, C * W, L_out)
+    windows = np.ndarray((C, W, B, L), xp.dtype, xp, 0, (s1, s2, s0, s2))
+    cols = np.empty((C, W, B, L))
+    return xp[:, :, pad:pad + L], windows, cols, cols.reshape(C * W, B * L)
+
+
+def _im2col(x: np.ndarray, W: int) -> np.ndarray:
+    """Columns [C*W, B*L] of x[B,C,L] zero-padded by (W - 1) / 2 on each
+    side to xp: row c*W + w holds xp[b, c, w:w + L] for b = 0..B-1 in turn,
+    matching kernel.reshape(C_out, C*W). They are overwritten by the next
+    call on the same shape, so they must not outlive the caller's use."""
+    interior, windows, cols, columns = _im2col_arrays(*x.shape, W)
+    interior[...] = x
+    np.copyto(cols, windows)
+    return columns
+
+
+# OpenBLAS computes a GEMM's output columns in tiles; a last tile that is
+# not full goes through another micro-kernel, which sums in another order.
+# When each batch entry's L columns fill whole tiles, every column of the
+# [C*W, B*L] product is summed as it is alone. With AVX-512 OpenBLAS, a
+# batch matched its entries bitwise at every L = 2..69 divisible by 8 and
+# differed in the last bits at L = 2, 4 and 9; 16 leaves room for wider
+# tiles.
+_GEMM_TILE = 16
 
 
 def _conv(x: Tensor, kernel: Tensor):
@@ -369,10 +406,12 @@ def _conv(x: Tensor, kernel: Tensor):
     zero-padded by (W - 1) / 2 on each side so the output keeps length L.
 
     Lowered to one matrix product per pass (im2col): the output is
-    kernel[C_out, C*W] @ columns[B, C*W, L]. Returns the output array and
-    the backward that maps its adjoint to (gx, gkernel); the backward
-    rebuilds the columns from the padded input rather than keeping them
-    alive.
+    kernel[C_out, C*W] @ columns[C*W, B*L], returned as a [B, C_out, L]
+    view of the [C_out, B*L] product. A batched forward is bitwise equal to
+    B forwards of one when L is a multiple of _GEMM_TILE; at any other L
+    each batch entry gets its own product (see there). Returns the output
+    array and the backward that maps its adjoint to (gx, gkernel); the
+    backward rebuilds the columns from x rather than keeping them alive.
 
     The backward is two GEMMs. The kernel's adjoint is g[C_out, B*L] @
     columns[C*W, B*L].T. The columns' adjoint k2.T @ g is written into a
@@ -392,15 +431,15 @@ def _conv(x: Tensor, kernel: Tensor):
             f"channels: input {x.shape} vs kernel {kernel.shape}")
     pad = (W - 1) // 2
 
-    xp = np.zeros((B, C, L + 2 * pad))
-    xp[:, :, pad:pad + L] = x.data
     k2 = kernel.data.reshape(C_out, C * W)
-    out = k2 @ _im2col(xp, W, L)
+    cols = _im2col(x.data, W)
+    if B == 1 or L % _GEMM_TILE == 0:
+        out = (k2 @ cols).reshape(C_out, B, L).transpose(1, 0, 2)
+    else:
+        out = k2 @ cols.reshape(C * W, B, L).transpose(1, 0, 2)
 
     def backward(g):
-        cols = _im2col(xp, W, L)
-        gk = (g.transpose(1, 0, 2).reshape(C_out, B * L)
-              @ cols.transpose(1, 0, 2).reshape(C * W, B * L).T)
+        gk = g.transpose(1, 0, 2).reshape(C_out, B * L) @ _im2col(x.data, W).T
         P = L + 2 * pad
         skew = np.zeros((B, C, W * (P + 1)))
         s0, s1, s2 = skew.strides

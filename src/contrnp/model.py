@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -52,6 +52,12 @@ class ArchConfig:
     decoder_hidden: int = 64
 
     def __post_init__(self):
+        # an int field holds an int, not a float or a bool (checkpoint JSON
+        # can hold either); first, so that the rules below see numbers.
+        # fields(self) takes in the int fields of the subclasses too
+        require((type(v) is int, f"{f.name} must be an integer, got {v!r}")
+                for f in fields(self) if f.type in (int, "int")
+                for v in [getattr(self, f.name)])
         sizes = {n: getattr(self, n)
                  for n in ("d_r", "cnn_depth", "cnn_width", "decoder_hidden")}
         k = self.cnn_kernel
@@ -71,7 +77,7 @@ class ModelConfig(ArchConfig):
 
 @dataclass
 class Representation:
-    r: Tensor            # [d_r]
+    r: Tensor            # [d_r], or [B, d_r] for a stack of views
 
 
 # the decoder's parameters, in the order `autodiff.decode_nll` takes them
@@ -181,15 +187,25 @@ class ConvCnpModel:
                            ad.softplus(self.params["raw_len_in"]), DENSITY_EPS)
 
     def encode(self, channels: Tensor) -> tuple[Tensor, Representation]:
-        """CNN over the grid embedding; returns grid features and pooled rep."""
+        """CNN over one view's grid embedding channels[G, 1 + C]; returns
+        the grid features [G, H] and the pooled representation r [d_r].
+
+        A stack of views [B, G, 1 + C] runs through the CNN as one batch and
+        gives [B, G, H] and r [B, d_r], each view's bitwise its own encode:
+        the pooling sums over G, not the contiguous axis, and the
+        representation layer is one [1, H] @ [H, d_r] product per view."""
         c = self.config
-        h = ad.transpose(channels).reshape(1, 1 + c.n_channels, c.grid_size)
+        lead = channels.shape[:-2]             # () for one view, (B,) a stack
+        h = ad.transpose(channels).reshape(-1, 1 + c.n_channels, c.grid_size)
         for i in range(c.cnn_depth):
             h = ad.conv_block(h, self.params[f"conv{i}_w"],
                               self.params[f"conv{i}_b"])
-        grid_features = ad.transpose(h.reshape(c.cnn_width, c.grid_size))  # [G,H]
-        pooled = ad.mean_axis(grid_features, axis=0).reshape(1, c.cnn_width)
-        r = (pooled @ self.params["repr_w"] + self.params["repr_b"]).reshape(c.d_r)
+        grid_features = ad.transpose(
+            h.reshape(*lead, c.cnn_width, c.grid_size))          # [(B,) G, H]
+        pooled = ad.mean_axis(grid_features, axis=-2).reshape(
+            *lead, 1, c.cnn_width)
+        r = (pooled @ self.params["repr_w"]
+             + self.params["repr_b"]).reshape(*lead, c.d_r)
         return grid_features, Representation(r)
 
     def decode(self, grid_features: Tensor,
@@ -260,7 +276,8 @@ def load_checkpoint(path) -> tuple[ConvCnpModel, dict, int]:
     The parameters come back frozen (not requires_grad): a loaded model is
     only evaluated, so its forward passes record no tape. A truncated file,
     a payload that does not match its SHA-256, or bytes after the hash are
-    a CheckpointError.
+    a CheckpointError, and so is a config that does not parse as JSON or
+    does not fit ModelConfig.
     """
     buf = Path(path).read_bytes()
     pos = 0
@@ -293,7 +310,10 @@ def load_checkpoint(path) -> tuple[ConvCnpModel, dict, int]:
     if pos != len(buf):
         raise CheckpointError(
             f"{path}: trailing bytes after the hash ({len(buf) - pos})")
-    cfg = json.loads(blob)
+    try:
+        cfg = json.loads(blob)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"{path}: config JSON does not parse: {e}")
     try:
         config = ModelConfig(**cfg["model"])
     except (KeyError, TypeError, ValueError) as e:

@@ -51,21 +51,31 @@ def conv1d(x, kernel):
     return ad._make(out, (x, kernel), backward)
 
 
+def reference_im2col(xp, W, L):
+    """Fresh columns [B, C*W, L] of padded xp[B, C, L_pad], one stack per
+    batch entry: row c*W + w holds xp[:, c, w:w + L]."""
+    B, C, _ = xp.shape
+    return np.stack([xp[:, :, w:w + L] for w in range(W)],
+                    axis=2).reshape(B, C * W, L)
+
+
 def reference_conv(x, kernel):
-    """`autodiff._conv` with its earlier backward: the kernel's adjoint from
-    `np.tensordot`, and col2im as one strided slice-add per kernel tap into
-    a padded buffer. The oracle for the two-GEMM backward, which must match
-    it bitwise at batch size 1."""
+    """`autodiff._conv` as it was before the batched forward and the
+    two-GEMM backward: per batch entry its own [C_out, C*W] @ [C*W, L]
+    product; the kernel's adjoint from `np.tensordot`, and col2im as one
+    strided slice-add per kernel tap into a padded buffer. The oracle for
+    today's forward and backward, which must match it bitwise at batch
+    size 1."""
     B, C, L = x.shape
     C_out, _, W = kernel.shape
     pad = (W - 1) // 2
     xp = np.zeros((B, C, L + 2 * pad))
     xp[:, :, pad:pad + L] = x.data
     k2 = kernel.data.reshape(C_out, C * W)
-    out = k2 @ ad._im2col(xp, W, L)
+    out = k2 @ reference_im2col(xp, W, L)
 
     def backward(g):
-        cols = ad._im2col(xp, W, L)
+        cols = reference_im2col(xp, W, L)
         gk = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(C_out, C, W)
         gcols = (k2.T @ g).reshape(B, C, W, L)
         gxp = np.zeros_like(xp)

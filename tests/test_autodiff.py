@@ -596,6 +596,30 @@ class TestConvBackward:
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
 
 
+class TestBatchedForward:
+    """`conv_block` over a batch of B inputs against B forwards of one,
+    stacked: bitwise, as evaluation relies on. At L = 64 the batch is one
+    GEMM; at L = 9 and 2 each entry gets its own."""
+
+    @pytest.mark.parametrize("batch", [2, 8])
+    @pytest.mark.parametrize("c_in, c_out, width, length", [
+        (2, 32, 7, 64), (32, 32, 7, 64),   # the WAVE layers
+        (2, 64, 5, 64), (64, 64, 5, 64),   # the TrainConfig layers
+        (32, 32, 7, 9), (3, 4, 7, 2)],     # L not a multiple of the tile
+        ids=["wave_in", "wave_mid", "paper_in", "paper_mid", "L9", "L2"])
+    def test_bitwise_equal_to_stacked_single_forwards(
+            self, batch, c_in, c_out, width, length):
+        r = np.random.default_rng([batch, c_in, c_out, width, length])
+        h = r.standard_normal((batch, c_in, length))
+        k = Tensor(r.standard_normal((c_out, c_in, width)))
+        b = Tensor(r.standard_normal(c_out))
+        got = ad.conv_block(Tensor(h), k, b).data
+        want = np.stack([ad.conv_block(Tensor(h[i:i + 1]), k, b).data[0]
+                         for i in range(batch)])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestConstantOperands:
     """An op whose other operand is a constant hands that constant no
     gradient and the graph operand the gradient it always had."""

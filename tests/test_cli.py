@@ -1,10 +1,12 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
 import platform
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -80,6 +82,22 @@ def trained(tmp_path, dataset, config):
                "--out", str(out)])
     assert rc == 0
     return out
+
+
+def rewrite_config(src, dst, edit):
+    """Copy checkpoint `src` to `dst` with its config JSON changed by
+    `edit` and the SHA-256 recomputed: `edit(cfg)` returns the new JSON
+    bytes, or edits the dict in place and returns None."""
+    _, cfg, _ = load_checkpoint(src)
+    old = json.dumps(cfg, sort_keys=True).encode()  # as save_checkpoint
+    blob = edit(cfg)
+    if blob is None:
+        blob = json.dumps(cfg, sort_keys=True).encode()
+    payload = Path(src).read_bytes()[:-32]
+    assert payload.endswith(struct.pack("<Q", len(old)) + old)
+    payload = (payload[:-len(old) - 8] + struct.pack("<Q", len(blob))
+               + blob)
+    Path(dst).write_bytes(payload + hashlib.sha256(payload).digest())
 
 
 def read_csv(path):
@@ -283,6 +301,28 @@ class TestEval:
         ckpt = tmp_path / "edited.ckpt"
         extra = {} if edit is None else {"train": {**cfg["train"], **edit}}
         save_checkpoint(model, extra, ckpt, seed=seed)
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                   "--out", str(tmp_path / "ev")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: ")
+
+    # config JSON a checkpoint can carry under a matching SHA-256; each once
+    # ended in a JSONDecodeError, UnicodeDecodeError or TypeError traceback
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: json.dumps(cfg).encode()[:-1],
+        lambda cfg: b"\xff" + json.dumps(cfg).encode(),
+        lambda cfg: cfg["model"].update(grid_size=16.5),
+        lambda cfg: cfg["train"].update(
+            window_size=float(cfg["train"]["window_size"])),
+        lambda cfg: cfg["train"].update(m=2.0)],
+        ids=["bad_json", "non_utf8", "float_grid_size", "float_window_size",
+             "float_m"])
+    def test_malformed_config_exits_2(self, tmp_path, dataset, trained,
+                                      capsys, edit):
+        ckpt = tmp_path / "edited.ckpt"
+        rewrite_config(trained / "model.ckpt", ckpt, edit)
         capsys.readouterr()
         rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
                    "--out", str(tmp_path / "ev")])
