@@ -391,27 +391,19 @@ def _im2col(x: np.ndarray, W: int) -> np.ndarray:
     return columns
 
 
-# OpenBLAS computes a GEMM's output columns in tiles; a last tile that is
-# not full goes through another micro-kernel, which sums in another order.
-# When each batch entry's L columns fill whole tiles, every column of the
-# [C*W, B*L] product is summed as it is alone. With AVX-512 OpenBLAS, a
-# batch matched its entries bitwise at every L = 2..69 divisible by 8 and
-# differed in the last bits at L = 2, 4 and 9; 16 leaves room for wider
-# tiles.
-_GEMM_TILE = 16
-
-
 def _conv(x: Tensor, kernel: Tensor):
     """Cross-correlation of x[B,C,L] with kernel[C_out,C,W] for an odd W,
     zero-padded by (W - 1) / 2 on each side so the output keeps length L.
 
-    Lowered to one matrix product per pass (im2col): the output is
-    kernel[C_out, C*W] @ columns[C*W, B*L], returned as a [B, C_out, L]
-    view of the [C_out, B*L] product. A batched forward is bitwise equal to
-    B forwards of one when L is a multiple of _GEMM_TILE; at any other L
-    each batch entry gets its own product (see there). Returns the output
-    array and the backward that maps its adjoint to (gx, gkernel); the
-    backward rebuilds the columns from x rather than keeping them alive.
+    Lowered to matrix products (im2col): the output is the stacked
+    product kernel[C_out, C*W] @ columns[B, C*W, L], the columns being a
+    [B, C*W, L] view of `_im2col`'s [C*W, B*L]. numpy computes a stack one
+    GEMM per matrix, on the shapes and operands of that batch entry alone,
+    so a batched forward is bitwise equal to B forwards of one (only the
+    columns' row stride differs, which OpenBLAS's packing absorbs).
+    Returns the output array and the backward that maps its adjoint to
+    (gx, gkernel); the backward rebuilds the columns from x rather than
+    keeping them alive.
 
     The backward is two GEMMs. The kernel's adjoint is g[C_out, B*L] @
     columns[C*W, B*L].T. The columns' adjoint k2.T @ g is written into a
@@ -432,11 +424,7 @@ def _conv(x: Tensor, kernel: Tensor):
     pad = (W - 1) // 2
 
     k2 = kernel.data.reshape(C_out, C * W)
-    cols = _im2col(x.data, W)
-    if B == 1 or L % _GEMM_TILE == 0:
-        out = (k2 @ cols).reshape(C_out, B, L).transpose(1, 0, 2)
-    else:
-        out = k2 @ cols.reshape(C * W, B, L).transpose(1, 0, 2)
+    out = k2 @ _im2col(x.data, W).reshape(C * W, B, L).transpose(1, 0, 2)
 
     def backward(g):
         gk = g.transpose(1, 0, 2).reshape(C_out, B * L) @ _im2col(x.data, W).T

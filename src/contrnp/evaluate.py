@@ -48,7 +48,8 @@ def extract(model: ConvCnpModel, segments: list[Segment], m: int,
     """Encode M views per segment and average them into one vector each.
 
     The M views of a segment go through the encoder as one stack, so each
-    CNN layer is one GEMM; every view's representation is bitwise the one
+    CNN layer builds their columns in one copy and runs their GEMMs in one
+    numpy call; every view's representation is bitwise the one
     `model.represent` gives it alone."""
     reps, labels = [], []
     for seg in segments:

@@ -200,6 +200,7 @@ class TestTapeRule:
         "mul": (ad.mul, [(3, 4), (3, 1)]),
         "div": (lambda a, b: ad.div(a, ad.exp(b)), [(3, 4), (3, 4)]),
         "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+        "matmul_stack": (ad.matmul, [(2, 1, 4), (4, 3)]),
         "concat": (lambda a, b: ad.concat([a, b], axis=1), [(3, 4), (3, 2)]),
         "conv1d": (conv1d, [(2, 3, 8), (4, 3, 3)]),
         "conv_block": (ad.conv_block, [(2, 3, 8), (4, 3, 3), (4,)]),
@@ -214,6 +215,7 @@ class TestTapeRule:
         "getitem": (lambda a: getitem(a, np.s_[1:, :2]), [(3, 4)]),
         "reshape": (lambda a: a.reshape(4, 3), [(3, 4)]),
         "transpose": (ad.transpose, [(3, 4)]),
+        "transpose_stack": (ad.transpose, [(2, 3, 4)]),
         "rbf": (lambda a: ad.rbf(np.ones((3, 4)), a), [()]),
         "set_conv": (lambda a: ad.set_conv(np.ones((3, 4)), np.ones((4, 2)),
                                            a, 1e-6), [()]),
@@ -337,18 +339,21 @@ class TestGradientChecks:
     def test_reductions_and_structure(self, rng):
         x = leaf(rng, 3, 4)
         y = leaf(rng, 2, 4)
+        z = leaf(rng, 2, 3, 4)
         for build in [
             lambda: ad.sum_axis(ad.mean_axis(x, axis=0) * 2.0),
             lambda: ad.sum_axis(ad.sum_axis(x, axis=1, keepdims=True)),
             lambda: ad.mean_axis(ad.concat([x, y], axis=0)),
             lambda: ad.sum_axis(ad.transpose(x) @ x),
+            lambda: ad.sum_axis(ad.exp((ad.transpose(z) @ x) * 0.2)),
             lambda: ad.sum_axis(x.reshape(12) * 0.5),
         ]:
-            check_grads(build, [x, y])
+            check_grads(build, [x, y, z])
 
     def test_matmul(self, rng):
-        a, b = leaf(rng, 3, 4), leaf(rng, 4, 2)
-        check_grads(lambda: ad.sum_axis(ad.exp((a @ b) * 0.2)), [a, b])
+        b = leaf(rng, 4, 2)
+        for a in [leaf(rng, 3, 4), leaf(rng, 2, 1, 4)]:  # a matrix, a stack
+            check_grads(lambda: ad.sum_axis(ad.exp((a @ b) * 0.2)), [a, b])
 
     @pytest.mark.parametrize("padding", [0, 1, 2, 3])
     def test_conv1d(self, rng, padding):
@@ -598,14 +603,15 @@ class TestConvBackward:
 
 class TestBatchedForward:
     """`conv_block` over a batch of B inputs against B forwards of one,
-    stacked: bitwise, as evaluation relies on. At L = 64 the batch is one
-    GEMM; at L = 9 and 2 each entry gets its own."""
+    stacked: bitwise, as evaluation relies on. At L = 9 and 2, one GEMM
+    over the whole batch's columns summed some outputs in another order
+    than the per-entry products do."""
 
     @pytest.mark.parametrize("batch", [2, 8])
     @pytest.mark.parametrize("c_in, c_out, width, length", [
         (2, 32, 7, 64), (32, 32, 7, 64),   # the WAVE layers
         (2, 64, 5, 64), (64, 64, 5, 64),   # the TrainConfig layers
-        (32, 32, 7, 9), (3, 4, 7, 2)],     # L not a multiple of the tile
+        (32, 32, 7, 9), (3, 4, 7, 2)],     # lengths one GEMM got wrong
         ids=["wave_in", "wave_mid", "paper_in", "paper_mid", "L9", "L2"])
     def test_bitwise_equal_to_stacked_single_forwards(
             self, batch, c_in, c_out, width, length):

@@ -275,7 +275,7 @@ class TestExtract:
             extract(model, segs, 8, 0.25, 0.75, (20, 100),
                     np.random.default_rng(2))
 
-        call()  # warm-up: the buffer grows to its size here
+        call()  # warm-up: creates the per-shape arrays of _im2col_arrays
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         call()
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
