@@ -26,13 +26,27 @@ class DomainError(ValueError):
     pass
 
 
+def _sum_last_first(n: int, term) -> np.ndarray:
+    """term(0) + ... + term(n - 1), added from the last term to the first.
+    That is the order in which the tape adds adjoints into a leaf when each
+    batch entry has a node of its own (the latest-created first), so the
+    adjoint a batched node sums over its entries is bitwise the sum their
+    own nodes would make."""
+    total = np.array(term(n - 1))
+    for i in range(n - 2, -1, -1):
+        total += term(i)
+    return total
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum grad down to `shape` (inverse of numpy broadcasting)."""
+    """Sum grad down to `shape` (inverse of numpy broadcasting); leading
+    axes are summed from the last entry to the first."""
     if grad.shape == tuple(shape):
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        flat = grad.reshape(-1, *grad.shape[extra:])
+        grad = _sum_last_first(len(flat), flat.__getitem__)
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
@@ -258,6 +272,25 @@ def concat(tensors, axis=0) -> Tensor:
     return _make(out, tuple(tensors), backward)
 
 
+def stack(tensors) -> Tensor:
+    """Tensors of one shape stacked along a new leading axis."""
+    out = np.stack([t.data for t in tensors])
+    return _make(out, tuple(tensors), tuple)
+
+
+def take_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """a[start:stop] along the leading axis. The backward fills the other
+    rows of a's adjoint with -0.0, the identity of float addition (x + -0.0
+    is x for every x, where x + 0.0 turns -0.0 into 0.0), so the adjoints
+    of row ranges taken apart add up bitwise to the rows' own."""
+    def backward(g):
+        ga = np.full(a.shape, -0.0)
+        ga[start:stop] = g
+        return (ga,)
+
+    return _make(a.data[start:stop], (a,), backward)
+
+
 def reshape(a: Tensor, shape) -> Tensor:
     out = a.data.reshape(shape)
     return _make(out, (a,), lambda g: (g.reshape(a.shape),))
@@ -278,15 +311,22 @@ def transpose(a: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """a[M, K] @ b[K, N], or a stack a[B, M, K] @ b[K, N]: numpy computes a
     stack one matrix at a time, so each of its products is bitwise the one
-    of that matrix alone."""
+    of that matrix alone. For a stack, b's adjoint is likewise one product
+    per matrix, summed from the last to the first."""
     if a.ndim not in (2, 3) or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeMismatchError(
             f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = a.data @ b.data
-    return _make(out, (a, b), lambda g: (
-        g @ b.data.T if a.requires_grad else None,
-        a.data.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1])
-        if b.requires_grad else None))
+
+    def backward(g):
+        gb = None
+        if b.requires_grad and a.ndim == 2:
+            gb = a.data.T @ g
+        elif b.requires_grad:
+            gb = _sum_last_first(len(g), lambda i: a.data[i].T @ g[i])
+        return (g @ b.data.T if a.requires_grad else None), gb
+
+    return _make(out, (a, b), backward)
 
 
 _TINY = np.finfo(np.float64).tiny
@@ -365,19 +405,23 @@ def set_conv(d2: np.ndarray, y: np.ndarray, ell: Tensor,
 
 @functools.lru_cache(maxsize=8)
 def _im2col_arrays(B: int, C: int, L: int, W: int):
-    """The arrays `_im2col` writes for inputs [B, C, L] and kernel width W:
+    """The arrays `_conv` writes for inputs [B, C, L] and kernel width W:
     the interior of a zero-padded input xp[B, C, L + W - 1], a window view
-    [C, W, B, L] of xp, and the columns [C, W, B, L] with their [C*W, B*L]
-    view. One set per layer shape, which every call on that shape reuses:
-    fresh columns, up to 0.9 MB per call for eight WAVE views, were trimmed
-    by glibc between calls and faulted in again."""
+    [C, W, B, L] of xp, the columns [C, W, B, L] with their [C*W, B*L]
+    view, and the backward's col2im buffer [B, C*W, L + W], which shares
+    the columns' memory: the backward is done with the columns before it
+    writes the buffer. One set per layer shape, which every call on that
+    shape reuses: fresh columns, up to 0.9 MB per call for eight WAVE
+    views, were trimmed by glibc between calls and faulted in again."""
     pad = (W - 1) // 2
     xp = np.zeros((B, C, L + 2 * pad))
     s0, s1, s2 = xp.strides
     # a direct view: much cheaper per call than as_strided
     windows = np.ndarray((C, W, B, L), xp.dtype, xp, 0, (s1, s2, s0, s2))
-    cols = np.empty((C, W, B, L))
-    return xp[:, :, pad:pad + L], windows, cols, cols.reshape(C * W, B * L)
+    skew = np.empty((B, C * W, L + W))
+    cols = skew.reshape(-1)[:C * W * B * L].reshape(C, W, B, L)
+    return (xp[:, :, pad:pad + L], windows, cols, cols.reshape(C * W, B * L),
+            skew)
 
 
 def _im2col(x: np.ndarray, W: int) -> np.ndarray:
@@ -385,7 +429,7 @@ def _im2col(x: np.ndarray, W: int) -> np.ndarray:
     side to xp: row c*W + w holds xp[b, c, w:w + L] for b = 0..B-1 in turn,
     matching kernel.reshape(C_out, C*W). They are overwritten by the next
     call on the same shape, so they must not outlive the caller's use."""
-    interior, windows, cols, columns = _im2col_arrays(*x.shape, W)
+    interior, windows, cols, columns, _ = _im2col_arrays(*x.shape, W)
     interior[...] = x
     np.copyto(cols, windows)
     return columns
@@ -405,12 +449,15 @@ def _conv(x: Tensor, kernel: Tensor):
     (gx, gkernel); the backward rebuilds the columns from x rather than
     keeping them alive.
 
-    The backward is two GEMMs. The kernel's adjoint is g[C_out, B*L] @
-    columns[C*W, B*L].T. The columns' adjoint k2.T @ g is written into a
-    zeroed buffer whose rows have stride P + 1 (P = L + 2*pad), so row
-    c*W + w lands shifted right by w; read back with row stride P from
-    offset pad, each input position sees its W terms stacked, and one sum
-    over them (in order w = 0..W-1) undoes the im2col."""
+    The backward is bitwise B backwards of one, with the B kernel adjoints
+    summed from the last entry to the first (`_sum_last_first`). Each
+    entry's kernel adjoint is one GEMM, g[b][C_out, L] @ columns[b].T: a
+    single GEMM over all B*L columns would sum the entries in BLAS's order.
+    The columns' adjoint k2.T @ g is written into a buffer whose rows have
+    stride P + 1 (P = L + 2*pad), with the W entries after each row zeroed,
+    so row c*W + w lands shifted right by w; read back with row stride P
+    from offset pad, each input position sees its W terms stacked, and one
+    sum over them (in order w = 0..W-1) undoes the im2col."""
     if x.ndim != 3 or kernel.ndim != 3:
         raise ShapeMismatchError(
             f"convolution expects x[B,C,L], kernel[C_out,C,W]; "
@@ -427,14 +474,14 @@ def _conv(x: Tensor, kernel: Tensor):
     out = k2 @ _im2col(x.data, W).reshape(C * W, B, L).transpose(1, 0, 2)
 
     def backward(g):
-        gk = g.transpose(1, 0, 2).reshape(C_out, B * L) @ _im2col(x.data, W).T
-        P = L + 2 * pad
-        skew = np.zeros((B, C, W * (P + 1)))
+        columns = _im2col(x.data, W).reshape(C * W, B, L).transpose(1, 0, 2)
+        gk = _sum_last_first(B, lambda b: g[b] @ columns[b].T)
+        skew = _im2col_arrays(B, C, L, W)[4]
+        skew[:, :, L:] = 0.0
+        np.matmul(k2.T, g, out=skew[:, :, :L])
         s0, s1, s2 = skew.strides
-        np.matmul(k2.T, g, out=np.ndarray((B, C * W, L), skew.dtype, skew, 0,
-                                          (s0, (P + 1) * s2, s2)))
         stacked = np.ndarray((B, C, W, L), skew.dtype, skew, pad * s2,
-                             (s0, s1, P * s2, s2))
+                             (s0, W * s1, (L + W - 1) * s2, s2))
         return stacked.sum(axis=2), gk.reshape(C_out, C, W)
 
     return out, backward
@@ -461,7 +508,7 @@ def conv_block(h: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         gh, gk = conv_backward(gz)
         if residual:
             gh += g
-        return gh, gk, gz.sum(axis=(0, 2))
+        return gh, gk, _sum_last_first(len(gz), gz.sum(axis=2).__getitem__)
 
     return _make(out, (h, kernel, bias), backward)
 
@@ -469,10 +516,17 @@ def conv_block(h: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
+def _as_stack(grids) -> Tensor:
+    """The views' grid features as one [V, G, H] Tensor, given as one or as
+    a list of V [G, H] Tensors."""
+    return grids if isinstance(grids, Tensor) else stack(grids)
+
+
 def _decoder(qn: Tensor, grids, weights, sigma_min: float):
     """The ConvCNP decoder of V views that share one smoother qn[T, G]: each
-    view's grid features F_v[G, H] smoothed onto the T targets, one hidden
-    layer, then a mu head and a sigma head over C channels,
+    view's grid features F_v[G, H] (grids, see `_as_stack`) smoothed onto
+    the T targets, one hidden layer, then a mu head and a sigma head over C
+    channels,
 
         Z_v = relu(qn @ (F_v @ W1) + b1)                        [T, hidden]
         mu_v = Z_v @ W_mu + b_mu
@@ -482,17 +536,18 @@ def _decoder(qn: Tensor, grids, weights, sigma_min: float):
     one [T, G] x [G, V * hidden] product and one [T * V, hidden] x
     [hidden, 2C] product for both heads. Returns mu and sigma [V, T, C] and
     the backward that maps their adjoints (arrays of that shape, or 0) to
-    the gradients of (qn, *grids, *weights). That backward writes the hidden
-    layer's adjoint over the hidden layer, the largest array here, so it
-    runs once per forward pass: a fresh array of that size every step would
-    be freed to the OS and faulted in again."""
+    the gradients of (qn, grids [V, G, H], *weights). That backward writes
+    the hidden layer's adjoint over the hidden layer, the largest array
+    here, so it runs once per forward pass: a fresh array of that size
+    every step would be freed to the OS and faulted in again."""
     w1, b1, w_mu, b_mu, w_sig, b_sig = (w.data for w in weights)
-    (T, G), V = qn.shape, len(grids)
+    F3 = _as_stack(grids).data
+    (T, G), V = qn.shape, len(F3)
     H, hidden = w1.shape
     C = w_mu.shape[1]
     # row g * V + v of F is row g of F_v, so columns v * hidden onwards of
     # A hold F_v @ W1
-    F = np.stack([f.data for f in grids], axis=1).reshape(G * V, H)
+    F = F3.transpose(1, 0, 2).reshape(G * V, H)
     A = (F @ w1).reshape(G, V * hidden)
     Z = qn.data @ A
     z = Z.reshape(T * V, hidden)
@@ -527,7 +582,7 @@ def _decoder(qn: Tensor, grids, weights, sigma_min: float):
         dqn = dZ @ A.T if qn.requires_grad else None
         dA = (qn.data.T @ dZ).reshape(G * V, hidden)
         dF = (dA @ w1.T).reshape(G, V, H)
-        return (dqn, *(dF[:, v] for v in range(V)), F.T @ dA,
+        return (dqn, dF.transpose(1, 0, 2), F.T @ dA,
                 dz.sum(axis=0), dw_head[:, :C], db_head[:C], dw_head[:, C:],
                 db_head[C:])
 
@@ -537,24 +592,31 @@ def _decoder(qn: Tensor, grids, weights, sigma_min: float):
 def decode(qn: Tensor, grid: Tensor, weights,
            sigma_min: float) -> tuple[Tensor, Tensor]:
     """mu and sigma [T, C] of one view's grid features grid[G, H] on the
-    smoother qn[T, G], as `_decoder` computes them: two nodes, each with its
-    own forward pass, since a pass's backward runs once; each runs that
-    backward with the other output's adjoint 0."""
-    mu, _, mu_backward = _decoder(qn, [grid], weights, sigma_min)
-    _, sigma, sigma_backward = _decoder(qn, [grid], weights, sigma_min)
-    parents = (qn, grid, *weights)
-    return (_make(mu[0], parents, lambda g: mu_backward(g[None], 0.0)),
-            _make(sigma[0], parents, lambda g: sigma_backward(0.0, g[None])))
+    smoother qn[T, G], or [V, T, C] of each view of a stack grid[V, G, H],
+    as `_decoder` computes them: two nodes, each with its own forward pass,
+    since a pass's backward runs once; each runs that backward with the
+    other output's adjoint 0."""
+    grids = grid if grid.ndim == 3 else grid.reshape(1, *grid.shape)
+    mu, _, mu_backward = _decoder(qn, grids, weights, sigma_min)
+    _, sigma, sigma_backward = _decoder(qn, grids, weights, sigma_min)
+    shape = grid.shape[:-2] + mu.shape[1:]
+    parents = (qn, grids, *weights)
+    return (_make(mu.reshape(shape), parents,
+                  lambda g: mu_backward(g.reshape(mu.shape), 0.0)),
+            _make(sigma.reshape(shape), parents,
+                  lambda g: sigma_backward(0.0, g.reshape(sigma.shape))))
 
 
 def decode_nll(qn: Tensor, grids, ys, weights, sigma_min: float) -> Tensor:
     """The mean Gaussian negative log likelihood [V] of each view's targets
-    ys[v][T, C] under its prediction by `_decoder`, as one node: per view,
-    the mean over targets and channels of
+    ys[v][T, C] under its prediction by `_decoder` from its grid features
+    (a [V, G, H] Tensor, or a list of V [G, H] Tensors, which it stacks),
+    as one node: per view, the mean over targets and channels of
     log sigma + log(2 pi) / 2 + (mu - y)^2 / (2 sigma^2).
 
     Its backward maps the V adjoints to mu's and sigma's and runs the
     decoder's backward once for all views."""
+    grids = _as_stack(grids)
     mu, sigma, decoder_backward = _decoder(qn, grids, weights, sigma_min)
     diff = mu - np.stack(ys)
     var = sigma * sigma
@@ -568,4 +630,4 @@ def decode_nll(qn: Tensor, grids, ys, weights, sigma_min: float) -> Tensor:
         dsigma = (1.0 / sigma - diff * diff / (var * sigma)) * scale
         return decoder_backward(dmu, dsigma)
 
-    return _make(out, (qn, *grids, *weights), backward)
+    return _make(out, (qn, grids, *weights), backward)

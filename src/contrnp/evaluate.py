@@ -47,16 +47,15 @@ def extract(model: ConvCnpModel, segments: list[Segment], m: int,
             a: float, b: float, n_context_range, rng) -> EncodedDataset:
     """Encode M views per segment and average them into one vector each.
 
-    The M views of a segment go through the encoder as one stack, so each
-    CNN layer builds their columns in one copy and runs their GEMMs in one
-    numpy call; every view's representation is bitwise the one
-    `model.represent` gives it alone."""
+    The M views of a segment go through the encoder as one stack
+    (`ConvCnpModel.encode_views`, as in training), so each CNN layer builds
+    their columns in one copy and runs their GEMMs in one numpy call; every
+    view's representation is bitwise the one `model.represent` gives it
+    alone."""
     reps, labels = [], []
     for seg in segments:
-        views = sample_views(seg, m, a, b, n_context_range, rng)
-        channels = np.stack([model.embed_context(v.context_x, v.context_y).data
-                             for v in views])
-        _, rep = model.encode(Tensor(channels))
+        _, rep = model.encode_views(
+            sample_views(seg, m, a, b, n_context_range, rng))
         reps.append(np.mean(rep.r.data, axis=0))
         labels.append(-1 if seg.label is None else seg.label)
     return EncodedDataset(np.asarray(reps), np.asarray(labels, dtype=np.int64))

@@ -40,19 +40,22 @@ class LossBreakdown:
 
 
 def contrastive_loss(reps, cfg: ContrastiveConfig) -> Tensor:
-    """Contrastive loss over the Representations reps[k][m] (K >= 2 segments
-    x M >= 2 views, as TrainConfig's k_per_batch and m guarantee)."""
-    k_n, m_n = len(reps), len(reps[0])
-    rows = []
-    for k in range(k_n):
-        for m in range(m_n):
-            t = reps[k][m].r
-            if np.linalg.norm(t.data) == 0.0:
-                raise ValueError(
-                    f"zero-norm representation at segment {k}, view {m}")
-            rows.append(t.reshape(1, t.size))
+    """Contrastive loss over the representations of K >= 2 segments x M >= 2
+    views (as TrainConfig's k_per_batch and m guarantee): a [K][M] list of
+    Representations, or one Representation whose r stacks them [K, M, d_r]."""
+    if isinstance(reps, Representation):
+        k_n, m_n, d = reps.r.shape
+        r = reps.r.reshape(k_n * m_n, d)                           # [n, d]
+    else:
+        k_n, m_n = len(reps), len(reps[0])
+        r = ad.concat([rep.r.reshape(1, rep.r.size)
+                       for row in reps for rep in row], axis=0)
+    zero = np.flatnonzero(np.linalg.norm(r.data, axis=1) == 0.0)
+    if zero.size:
+        k, m = divmod(int(zero[0]), m_n)
+        raise ValueError(
+            f"zero-norm representation at segment {k}, view {m}")
     n = k_n * m_n
-    r = ad.concat(rows, axis=0)                                    # [n, d]
     norms = ad.sqrt(ad.sum_axis(r * r, axis=1, keepdims=True))
     rn = r / norms
     sim = rn @ ad.transpose(rn)                                    # [n, n]
@@ -94,34 +97,50 @@ def gaussian_nll(pred: GaussianPrediction, target_y) -> Tensor:
     return ad.mean_axis(point_nll)
 
 
-def _decode_group(pred_and_target) -> tuple | None:
+def _decode_group(pred) -> tuple | None:
     """What the views decoded by one node share: the smoother and the decoder
-    weights; None for a prediction given as mu and sigma."""
-    pending = pred_and_target[0].pending
-    if pending is None:
+    weights, and the stack itself for a stack of views; None for a
+    prediction given as mu and sigma."""
+    p = pred.pending
+    if p is None:
         return None
-    return (id(pending.smoother), *map(id, pending.weights))
+    stack = (id(p.grid_features),) if p.grid_features.ndim == 3 else ()
+    return (id(p.smoother), *map(id, p.weights), *stack)
 
 
 def _view_nlls(preds: list[GaussianPrediction], targets: list) -> Tensor:
-    """The Gaussian NLL of each view [n_views], in view order. Each run of
-    adjacent pending predictions on one smoother, which in `train_step` is
-    every view of the step, is decoded and scored by one
-    `autodiff.decode_nll` node; a prediction given as mu and sigma by
-    `gaussian_nll`. (`ConvCnpModel._smoother` keeps only the last target
-    set, so in decode order the views on one smoother node are adjacent.)"""
-    parts = []
-    for key, run in itertools.groupby(zip(preds, targets, strict=True),
-                                      key=_decode_group):
+    """The Gaussian NLL of each view [n_views], in view order, where
+    `targets` holds one entry per view and a prediction pending on a stack
+    of V views covers V of them. A stack, as `train_step` decodes each
+    target set, and each run of adjacent single-view predictions pending
+    on one smoother are decoded and scored by one `autodiff.decode_nll`
+    node; a prediction given as mu and sigma by `gaussian_nll`.
+    (`ConvCnpModel._smoother` keeps only the last target set, so in decode
+    order the views on one smoother node are adjacent.)"""
+    parts, at = [], 0
+    for key, run in itertools.groupby(preds, key=_decode_group):
         run = list(run)
+        first = run[0].pending
         if key is None:
-            parts += [gaussian_nll(p, y).reshape(1) for p, y in run]
-            continue
-        first = run[0][0].pending
-        parts.append(ad.decode_nll(
-            first.smoother, [p.pending.grid_features for p, _ in run],
-            [_target_array(y, first.shape) for _, y in run], first.weights,
-            SIGMA_MIN))
+            grids, n = None, len(run)
+        elif first.grid_features.ndim == 3:     # a stack: a group of its own
+            grids, n = first.grid_features, first.grid_features.shape[0]
+        else:
+            grids = [p.pending.grid_features for p in run]
+            n = len(grids)
+        ys = targets[at:at + n]
+        at += n
+        if len(ys) < n:
+            break
+        if grids is None:
+            parts += [gaussian_nll(p, y).reshape(1) for p, y in zip(run, ys)]
+        else:
+            parts.append(ad.decode_nll(
+                first.smoother, grids,
+                [_target_array(y, first.shape) for y in ys], first.weights,
+                SIGMA_MIN))
+    if at != len(targets):
+        raise ValueError(f"{len(targets)} targets for the predicted views")
     return parts[0] if len(parts) == 1 else ad.concat(parts)
 
 

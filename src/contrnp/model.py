@@ -86,23 +86,25 @@ DECODER_PARAMS = ("dec_w1", "dec_b1", "dec_mu_w", "dec_mu_b", "dec_sig_w",
 
 
 class PendingDecode(NamedTuple):
-    """A view `ConvCnpModel.decode` has not decoded yet."""
+    """A view, or a stack of views on one target set, that
+    `ConvCnpModel.decode` has not decoded yet."""
     smoother: Tensor         # [n_target, G], shared by views on one target set
-    grid_features: Tensor    # [G, H]
+    grid_features: Tensor    # [G, H], or [V, G, H] for a stack of V views
     weights: tuple           # the DECODER_PARAMS Tensors
 
     @property
     def shape(self) -> tuple:
-        """[n_target, C] of the prediction: dec_sig_b has one entry per
-        channel."""
+        """[n_target, C] of each view's prediction: dec_sig_b has one entry
+        per channel."""
         return (self.smoother.shape[0], self.weights[-1].shape[0])
 
 
 class GaussianPrediction:
-    """Per-channel Gaussian mu and sigma [n_target, C], given directly or,
-    from `ConvCnpModel.decode`, pending: built on first read from `pending`
-    (with the decoder weights' values at that time) as a group of one.
-    `losses.combined_loss` scores pending views without building them."""
+    """Per-channel Gaussian mu and sigma [n_target, C] ([V, n_target, C]
+    for a stack of views), given directly or, from `ConvCnpModel.decode`,
+    pending: built on first read from `pending` (with the decoder weights'
+    values at that time) as a group of its own. `losses.combined_loss`
+    scores pending views without building them."""
 
     def __init__(self, mu: Tensor | None = None, sigma: Tensor | None = None,
                  pending: PendingDecode | None = None):
@@ -191,9 +193,12 @@ class ConvCnpModel:
         the grid features [G, H] and the pooled representation r [d_r].
 
         A stack of views [B, G, 1 + C] runs through the CNN as one batch and
-        gives [B, G, H] and r [B, d_r], each view's bitwise its own encode:
-        the pooling sums over G, not the contiguous axis, and the
-        representation layer is one [1, H] @ [H, d_r] product per view."""
+        gives [B, G, H] and r [B, d_r], each view's bitwise its own encode,
+        and so are the gradients each view hands back: the pooling sums
+        over G, not the contiguous axis, the representation layer is one
+        [1, H] @ [H, d_r] product per view, and every adjoint summed over
+        the views adds them from the last to the first, as the tape adds
+        the adjoints of per-view nodes (see `autodiff._sum_last_first`)."""
         c = self.config
         lead = channels.shape[:-2]             # () for one view, (B,) a stack
         h = ad.transpose(channels).reshape(-1, 1 + c.n_channels, c.grid_size)
@@ -208,9 +213,18 @@ class ConvCnpModel:
              + self.params["repr_b"]).reshape(*lead, c.d_r)
         return grid_features, Representation(r)
 
+    def encode_views(self, views) -> tuple[Tensor, Representation]:
+        """Embed each view's context, stack the embeddings [V, G, 1 + C] and
+        `encode` them as one batch: grid features [V, G, H] and r [V, d_r].
+        Each view keeps its own embedding node, whose lengthscale adjoint
+        reaches raw_len_in in the order per-view encodes would give."""
+        return self.encode(ad.stack([
+            self.embed_context(v.context_x, v.context_y) for v in views]))
+
     def decode(self, grid_features: Tensor,
                target_x: np.ndarray) -> GaussianPrediction:
-        """The Gaussian prediction at the targets from the grid features:
+        """The Gaussian prediction at the targets from the grid features of
+        one view [G, H], or of a stack of views [V, G, H] on these targets:
         pending on the smoother onto the targets, which the views of one
         target set share (see GaussianPrediction)."""
         target_x = np.asarray(target_x, dtype=np.float64)
@@ -226,9 +240,9 @@ class ConvCnpModel:
         """The row-normalised RBF smoother [T, G] from the grid onto the
         targets. The last one is kept and reused while its inputs are
         unchanged: the same raw_len_out Tensor, with an equal value and the
-        same requires_grad, and equal targets. The K*M views of a step share
-        their targets, so they share one node, and `losses.combined_loss`
-        decodes and scores them in one `autodiff.decode_nll` node."""
+        same requires_grad, and equal targets. The K*M views of a step on
+        one target set share one node, and `losses.combined_loss` decodes
+        and scores them in one `autodiff.decode_nll` node."""
         raw = self.params["raw_len_out"]
         key = (float(raw.data), raw.requires_grad)
         memo = self._smoothed
@@ -238,6 +252,30 @@ class ConvCnpModel:
             qn = ad.rbf(d2, ad.softplus(raw))
             memo = self._smoothed = (raw, key, target_x.copy(), qn)
         return memo[3]
+
+    def decode_views(self, grid_features: Tensor,
+                     target_xs) -> list[GaussianPrediction]:
+        """The pending predictions of the views stacked in grid_features
+        [V, G, H] at their targets target_xs[v]: one per run of adjacent
+        views with equal targets, pending on that run's rows of the stack,
+        so the runs are the ones `_smoother` gives views decoded one by
+        one. Segments cut from a series with uneven timestamps have
+        targets of their own."""
+        preds, start, n = [], 0, len(target_xs)
+        for stop in range(1, n + 1):
+            if stop < n and np.array_equal(target_xs[stop], target_xs[start]):
+                continue
+            rows = (grid_features if stop - start == n
+                    else ad.take_rows(grid_features, start, stop))
+            preds.append(self.decode(rows, target_xs[start]))
+            start = stop
+        return preds
+
+    def lengthscales(self) -> tuple[float, float]:
+        """The set-conv and decoder RBF lengthscales, softplus(raw_len_in)
+        and softplus(raw_len_out)."""
+        return tuple(ad.softplus(Tensor(self.params[name].data)).item()
+                     for name in ("raw_len_in", "raw_len_out"))
 
     def predict(self, context_x, context_y, target_x) -> GaussianPrediction:
         grid_features, _ = self.encode(self.embed_context(context_x, context_y))

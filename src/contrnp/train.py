@@ -11,7 +11,8 @@ import numpy as np
 from .autodiff import Tensor
 from .data import DataError, Segment, make_batch
 from .losses import ContrastiveConfig, combined_loss
-from .model import ArchConfig, ConvCnpModel, ModelConfig, require
+from .model import (ArchConfig, ConvCnpModel, ModelConfig, Representation,
+                    require)
 
 
 class NumericError(RuntimeError):
@@ -78,20 +79,24 @@ class TrainConfig(ArchConfig):
 class TrainLog:
     # (step, nll, contr, total, ms, grad_norm, clipped)
     records: list = field(default_factory=list)
+    # (ell_in, ell_out) after each step: the lengthscales, in grid x units
+    lengthscales: list = field(default_factory=list)
 
     def append(self, step, nll, contrastive, total, wall_ms, grad_norm,
-               clipped):
+               clipped, ell_in, ell_out):
         self.records.append((step, nll, contrastive, total, wall_ms,
                              grad_norm, clipped))
+        self.lengthscales.append((ell_in, ell_out))
 
     def write_csv(self, path):
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["step", "nll", "contrastive", "total", "wall_ms",
-                        "grad_norm", "clipped"])
-            for rec in self.records:
+                        "grad_norm", "clipped", "ell_in", "ell_out"])
+            for rec, ells in zip(self.records, self.lengthscales):
                 w.writerow([rec[0], repr(rec[1]), repr(rec[2]), repr(rec[3]),
-                            f"{rec[4]:.1f}", repr(rec[5]), int(rec[6])])
+                            f"{rec[4]:.1f}", repr(rec[5]), int(rec[6]),
+                            *map(repr, ells)])
 
 
 class Adam:
@@ -134,18 +139,15 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
 
 
 def train_step(model: ConvCnpModel, batch, cfg: TrainConfig, opt: Adam):
-    preds, targets, reps = [], [], []
-    for seg_views in batch.views:
-        seg_reps = []
-        for view in seg_views:
-            grid_features, rep = model.encode(
-                model.embed_context(view.context_x, view.context_y))
-            pred = model.decode(grid_features, view.target_x)
-            preds.append(pred)
-            targets.append(view.target_y)
-            seg_reps.append(rep)
-        reps.append(seg_reps)
-    breakdown = combined_loss(preds, targets, reps, cfg.lam,
+    """One optimizer step on the K x M views of `batch`, encoded as one
+    stack: its losses, gradients and update are bitwise those of encoding
+    each view on its own."""
+    views = [view for seg_views in batch.views for view in seg_views]
+    grid_features, rep = model.encode_views(views)
+    preds = model.decode_views(grid_features, [v.target_x for v in views])
+    reps = Representation(rep.r.reshape(len(batch.views), -1, rep.r.shape[1]))
+    breakdown = combined_loss(preds, [v.target_y for v in views], reps,
+                              cfg.lam,
                               ContrastiveConfig(tau=cfg.tau, mode=cfg.loss_mode))
     opt.zero_grad()
     breakdown.total.backward()
@@ -195,5 +197,5 @@ def train(segments: list[Segment],
             norm = breakdown.grad_norm
             log.append(step, nll, contr, total,
                        (time.perf_counter() - t0) * 1000.0, norm,
-                       0 < cfg.clip_norm < norm)
+                       0 < cfg.clip_norm < norm, *model.lengthscales())
     return model, log

@@ -5,6 +5,8 @@ import pytest
 
 from contrnp import autodiff as ad
 from contrnp.autodiff import Tensor
+from contrnp.losses import ContrastiveConfig, combined_loss
+from contrnp.train import NumericError, clip_gradients
 
 
 def finite_diff_grads(fn, tensors, h=1e-5):
@@ -84,6 +86,34 @@ def reference_conv(x, kernel):
         return (gxp[:, :, pad:pad + L], gk)
 
     return out, backward
+
+
+def per_view_train_step(model, batch, cfg, opt):
+    """`train.train_step` as it was before a step's views were encoded as
+    one stack: each view embedded, encoded and decoded on its own, with
+    one Representation per view. The oracle the batched step must match
+    byte for byte."""
+    preds, targets, reps = [], [], []
+    for seg_views in batch.views:
+        seg_reps = []
+        for view in seg_views:
+            grid_features, rep = model.encode(
+                model.embed_context(view.context_x, view.context_y))
+            preds.append(model.decode(grid_features, view.target_x))
+            targets.append(view.target_y)
+            seg_reps.append(rep)
+        reps.append(seg_reps)
+    breakdown = combined_loss(preds, targets, reps, cfg.lam,
+                              ContrastiveConfig(tau=cfg.tau, mode=cfg.loss_mode))
+    opt.zero_grad()
+    breakdown.total.backward()
+    grad_norm = breakdown.grad_norm = float(
+        clip_gradients(model.params, cfg.clip_norm))
+    if not np.isfinite(grad_norm):
+        raise NumericError(
+            f"non-finite gradient norm {grad_norm} before the update")
+    opt.step()
+    return breakdown
 
 
 def relu(a):

@@ -568,7 +568,8 @@ class TestConvBlock:
 class TestConvBackward:
     """`_conv`'s two-GEMM backward against `conftest.reference_conv`, the
     tensordot-and-slice-add backward it replaced: bitwise at batch size 1,
-    which is all the program runs, and to rounding at a larger batch."""
+    and at a larger batch bitwise the backwards of its entries one by one,
+    as training relies on."""
 
     SHAPES = pytest.mark.parametrize("c_in, c_out, width, length", [
         (2, 32, 7, 64), (32, 32, 7, 64),   # the WAVE layers
@@ -595,10 +596,25 @@ class TestConvBackward:
             assert a.tobytes() == b.tobytes()
 
     @SHAPES
-    def test_close_at_batch_three(self, c_in, c_out, width, length):
-        got, want = self.both(3, c_in, c_out, width, length)
-        for a, b in zip(got, want):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+    def test_batch_three_is_three_single_backwards(self, c_in, c_out, width,
+                                                   length):
+        # the input adjoints stacked, the kernel adjoints summed from the
+        # last entry to the first, the order in which the tape adds the
+        # adjoints of per-entry nodes into the kernel
+        r = np.random.default_rng([3, c_in, c_out, width, length])
+        x = r.standard_normal((3, c_in, length))
+        k = Tensor(r.standard_normal((c_out, c_in, width)))
+        g = r.standard_normal((3, c_out, length))
+        out, backward = ad._conv(Tensor(x), k)
+        gx, gk = backward(g)
+        singles = [reference_conv(Tensor(x[i:i + 1]), k) for i in range(3)]
+        grads = [bw(g[i:i + 1]) for i, (_, bw) in enumerate(singles)]
+        want_out = np.concatenate([o for o, _ in singles])
+        want_gx = np.concatenate([gxi for gxi, _ in grads])
+        want_gk = grads[2][1] + grads[1][1] + grads[0][1]
+        for got, want in [(out, want_out), (gx, want_gx), (gk, want_gk)]:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestBatchedForward:

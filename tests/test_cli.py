@@ -163,7 +163,7 @@ class TestTrain:
         assert (trained / "model.ckpt").exists()
         rows = read_csv(trained / "train_log.csv")
         assert rows[0] == ["step", "nll", "contrastive", "total", "wall_ms",
-                           "grad_norm", "clipped"]
+                           "grad_norm", "clipped", "ell_in", "ell_out"]
         assert len(rows) > 1
         assert (trained / "manifest_train.json").exists()
 
@@ -221,7 +221,27 @@ class TestTrain:
             f"trained 0 steps; checkpoint at {out / 'model.ckpt'}\n"
         assert read_csv(out / "train_log.csv") == [
             ["step", "nll", "contrastive", "total", "wall_ms", "grad_norm",
-             "clipped"]]
+             "clipped", "ell_in", "ell_out"]]
+
+    def test_same_seed_processes_write_identical_checkpoints(
+            self, tmp_path, dataset, config):
+        # `autodiff._conv` reuses arrays per layer shape across calls and
+        # steps, from np.empty: an entry it reads before writing would
+        # differ between processes. Fresh interpreters, each with the same
+        # OpenBLAS thread count, which numpy reads when it loads OpenBLAS
+        config.write_text(SMALL_CONFIG.replace("epochs = 2", "epochs = 3"))
+        env = {**os.environ, "PYTHONPATH": str(SRC),
+               "OPENBLAS_NUM_THREADS": "2"}
+        ckpts = []
+        for name in ("r1", "r2"):
+            out = tmp_path / name
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from contrnp.cli import main; sys.exit(main())",
+                 "train", "--config", str(config), "--data", str(dataset),
+                 "--out", str(out)], check=True, capture_output=True, env=env)
+            ckpts.append((out / "model.ckpt").read_bytes())
+        assert ckpts[0] == ckpts[1]
 
     def test_input_not_mutated(self, tmp_path, dataset, config):
         before = dataset.read_bytes()

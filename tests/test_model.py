@@ -463,6 +463,22 @@ class TestSharedSmoother:
                 assert err <= 1e-12, \
                     f"{k}, grouped {grouped}: relative error {err:.3g}"
 
+    def test_stack_prediction_matches_per_view_decode(self, rng):
+        # mu and sigma of a stack pending on one target set, built on read,
+        # against each view decoded alone
+        model = twin(SMALL)
+        tx = np.linspace(0.0, 1.0, 50)
+        views = [model.embed_context(*sine_context(rng)) for _ in range(3)]
+        grid_features, _ = model.encode(ad.stack(views))
+        stacked = model.decode(grid_features, tx)
+        alone = [model.decode(model.encode(v)[0], tx) for v in views]
+        assert stacked.mu.shape == (3, 50, 1)
+        for got, want in [(stacked.mu, [p.mu for p in alone]),
+                          (stacked.sigma, [p.sigma for p in alone])]:
+            np.testing.assert_allclose(
+                got.data, np.stack([w.data for w in want]), rtol=1e-12,
+                atol=0)
+
     def test_equal_targets_share_one_node(self, model):
         tx = np.linspace(0.0, 1.0, 50)
         assert model._smoother(tx) is model._smoother(tx.copy())

@@ -1,15 +1,22 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from contrnp import autodiff as ad
 from contrnp.autodiff import Tensor
-from contrnp.data import make_batch, synth_generate
+from contrnp.data import (TimeSeries, load_csv, make_batch, segmentize,
+                          synth_generate, write_csv)
 from contrnp.losses import ContrastiveConfig, combined_loss
 from contrnp.model import ConvCnpModel
 from contrnp.train import (Adam, NumericError, TrainConfig, TrainLog,
                            clip_gradients, train, train_step)
 
-from conftest import finite_diff_grads, reference_conv, rel_err
+from conftest import (finite_diff_grads, per_view_train_step,
+                      reference_conv, rel_err)
+
+# the module: the package's `train` attribute is the function
+train_module = importlib.import_module("contrnp.train")
 
 
 SMALL_CFG = dict(window_size=64, grid_size=16, cnn_depth=2, cnn_width=8,
@@ -62,14 +69,14 @@ class TestClipGradients:
 class TestTrainLog:
     def test_csv_schema(self, tmp_path):
         log = TrainLog()
-        log.append(1, 0.1, 0.2, 0.3, 5.0, 12.5, True)
+        log.append(1, 0.1, 0.2, 0.3, 5.0, 12.5, True, 0.03, 0.015)
         path = tmp_path / "log.csv"
         log.write_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == ("step,nll,contrastive,total,wall_ms,grad_norm,"
-                            "clipped")
+                            "clipped,ell_in,ell_out")
         assert lines[1].startswith("1,0.1,0.2,")
-        assert lines[1].endswith(",5.0,12.5,1")
+        assert lines[1].endswith(",5.0,12.5,1,0.03,0.015")
 
 
 class TestTrainLoop:
@@ -139,24 +146,109 @@ class TestHealthColumns:
         assert after == pytest.approx(cfg.clip_norm, rel=1e-12)
 
 
+def trained_bytes(segs, cfg):
+    """`train`'s loss terms and gradient norm of every step, as
+    (shape, bytes), and the bytes of every parameter after the run."""
+    model, log = train(segs, cfg)
+    # nll, contrastive, total and grad_norm of every step
+    terms = np.array([r[1:4] + r[5:6] for r in log.records])
+    return (terms.shape, terms.tobytes(),
+            {k: p.data.tobytes() for k, p in model.params.items()})
+
+
 class TestConvBackwardInTraining:
-    def test_steps_bitwise_equal_to_reference_backward(self, monkeypatch):
-        # WAVE's CNN (4 layers of width 32, kernel 7, grid 64): 3 steps
+    def test_batched_steps_bitwise_equal_to_per_view_reference_backward(
+            self, monkeypatch):
+        # WAVE's CNN (4 layers of width 32, kernel 7, grid 64): 3 steps of
+        # the library's batched step, against per-view steps through the
+        # tensordot-and-slice-add convolution
         cfg = TrainConfig(window_size=200, grid_size=64, cnn_depth=4,
                           cnn_width=32, cnn_kernel=7, d_r=16,
                           decoder_hidden=16, epochs=1, seed=5)
         segs = synth_generate(3, 8, 200, 0.05, np.random.default_rng(2))
-        runs = []
-        for conv in (ad._conv, reference_conv):
-            monkeypatch.setattr(ad, "_conv", conv)
-            model, log = train(segs, cfg)
-            # nll, contrastive, total and grad_norm of every step
-            terms = np.array([r[1:4] + r[5:6] for r in log.records])
-            runs.append((terms.shape, terms.tobytes(),
-                         {k: p.data.tobytes()
-                          for k, p in model.params.items()}))
-        assert runs[0][0] == (3, 4)
-        assert runs[0] == runs[1]
+        library = trained_bytes(segs, cfg)
+        monkeypatch.setattr(ad, "_conv", reference_conv)
+        monkeypatch.setattr(train_module, "train_step", per_view_train_step)
+        assert library[0] == (3, 4)
+        assert library == trained_bytes(segs, cfg)
+
+
+def uneven_segments(n_segments, window, rng, path):
+    """Segments of a CSV whose timestamps are unevenly spaced, so that each
+    segment's rescaled times, its target set, are its own."""
+    n = n_segments * window
+    t = np.cumsum(rng.uniform(0.5, 1.5, n))
+    y = np.stack([np.sin(t / 7.0), np.cos(t / 11.0)], axis=1)
+    write_csv(TimeSeries(t, y + 0.05 * rng.standard_normal((n, 2))), path)
+    return segmentize(load_csv(path), window, window)
+
+
+WAVE_SHAPES = dict(window_size=200, grid_size=64, cnn_depth=4, cnn_width=32,
+                   cnn_kernel=7, d_r=64, decoder_hidden=64, lam=100.0)
+
+
+class TestBatchedTrainStep:
+    """`train_step` encodes a step's K x M views as one stack; every loss
+    term, gradient norm and parameter must be byte for byte those of
+    `conftest.per_view_train_step`, which encodes each view on its own, over
+    three steps (24 segments, 8 per step)."""
+
+    CASES = {
+        "wave": dict(WAVE_SHAPES),
+        # TrainConfig's layers (6 x 64 wide, kernel 5, d_r 128) at a short
+        # window
+        "paper_layers": dict(window_size=200),
+        "literal": dict(WAVE_SHAPES, loss_mode="literal", tau=0.5),
+        "lam0": dict(WAVE_SHAPES, lam=0.0),
+    }
+
+    @staticmethod
+    def both(segs, cfg, monkeypatch):
+        batched = trained_bytes(segs, cfg)
+        monkeypatch.setattr(train_module, "train_step", per_view_train_step)
+        assert batched[0] == (3, 4)
+        return batched, trained_bytes(segs, cfg)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bitwise_equal_to_per_view_steps(self, case, monkeypatch):
+        cfg = TrainConfig(**self.CASES[case], epochs=1, seed=11)
+        segs = synth_generate(4, 6, 200, 0.1, np.random.default_rng(7))
+        batched, per_view = self.both(segs, cfg, monkeypatch)
+        assert batched == per_view
+
+    def test_uneven_timestamps_bitwise_equal_to_per_view_steps(
+            self, tmp_path, monkeypatch):
+        segs = uneven_segments(24, 256, np.random.default_rng(3),
+                               tmp_path / "uneven.csv")
+        assert len({s.x.tobytes() for s in segs}) == len(segs)
+        cfg = TrainConfig(**{**WAVE_SHAPES, "window_size": 256}, epochs=1, seed=4)
+        batched, per_view = self.both(segs, cfg, monkeypatch)
+        assert batched == per_view
+
+    def test_one_decode_node_per_target_set(self, tmp_path):
+        # two segments on their own targets, two views each: two runs
+        segs = uneven_segments(2, 256, np.random.default_rng(5),
+                               tmp_path / "uneven.csv")
+        cfg = TrainConfig(**{**WAVE_SHAPES, "window_size": 256}, k_per_batch=2)
+        model = ConvCnpModel(cfg.model_config(2), np.random.default_rng(0))
+        batch = make_batch(segs, cfg.m, cfg.a, cfg.b, cfg.n_context_range,
+                           np.random.default_rng(1))
+        views = [v for row in batch.views for v in row]
+        grid_features, _ = model.encode_views(views)
+        preds = model.decode_views(grid_features, [v.target_x for v in views])
+        assert [p.pending.grid_features.shape[0] for p in preds] == [2, 2]
+        assert preds[0].pending.smoother is not preds[1].pending.smoother
+
+
+class TestLengthscaleColumns:
+    def test_lengthscales_logged_finite_and_positive(self, rng):
+        cfg = TrainConfig(**SMALL_CFG, epochs=2)
+        model, log = train(small_dataset(rng), cfg)
+        ells = np.array(log.lengthscales)
+        assert ells.shape == (len(log.records), 2)
+        assert np.all(np.isfinite(ells)) and np.all(ells > 0)
+        # the values after the last step are the model's
+        assert tuple(ells[-1]) == model.lengthscales()
 
 
 class TestNonFiniteGradients:
