@@ -275,6 +275,9 @@ def cmd_forecast(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     mu, sigma = pred.mu.data, pred.sigma.data
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+        raise NumericError(
+            f"segment {args.segment_id}: non-finite prediction")
     with open(out, "w", newline="") as f:
         w = csv.writer(f)
         n_ch = mu.shape[1]

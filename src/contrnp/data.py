@@ -10,6 +10,7 @@ pairs for the contrastive objective.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,67 +171,115 @@ def segments_to_series(segments: list[Segment]) -> TimeSeries:
 # -- CSV I/O -------------------------------------------------------------------
 
 def write_csv(series: TimeSeries, path):
+    """Write `time,ch0,...,chN[,label]`, each float as its shortest repr."""
+    header = ["time"] + [f"ch{c}" for c in range(series.n_channels)]
+    columns = [map(repr, np.asarray(c, dtype=np.float64).tolist())
+               for c in (series.x, *series.y.T)]
+    if series.labels is not None:
+        header.append("label")
+        columns.append(series.labels.tolist())
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        header = ["time"] + [f"ch{c}" for c in range(series.n_channels)]
-        if series.labels is not None:
-            header.append("label")
         w.writerow(header)
-        for i in range(len(series.x)):
-            row = [repr(float(series.x[i]))]
-            row += [repr(float(v)) for v in series.y[i]]
-            if series.labels is not None:
-                row.append(int(series.labels[i]))
-            w.writerow(row)
+        w.writerows(zip(*columns))
 
 
 def load_csv(path) -> TimeSeries:
     """Parse `time,ch0,...,chN[,label]` and z-score each channel (eps-guarded).
 
     Every rule on the file's contents lives here: a malformed, non-UTF-8,
-    non-finite or non-monotone file is a DataError that names the path."""
+    non-finite or non-monotone file is a DataError that names the path.
+    One `np.loadtxt` pass parses the body and array checks test it; only a
+    file that fails goes through the row loop that names its line."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as f:
-            reader = csv.reader(f)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file")
-            header = [h.strip() for h in header]
-            if not header or header[0] != "time":
-                raise DataError(f"{path}:1: first column must be 'time'")
-            has_label = header[-1] == "label"
-            n_ch = len(header) - 1 - (1 if has_label else 0)
-            if n_ch < 1:
-                raise DataError(f"{path}:1: no channel columns found")
-            xs, ys, labels, linenos = [], [], [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataError(f"{path}:{lineno}: expected "
-                                    f"{len(header)} fields, got {len(row)}")
-                try:
-                    xs.append(float(row[0]))
-                    ys.append([float(v) for v in row[1:1 + n_ch]])
-                    if has_label:
-                        labels.append(int(float(row[1 + n_ch])))
-                except (ValueError, OverflowError) as e:
-                    raise DataError(f"{path}:{lineno}: {e}")
-                linenos.append(lineno)
-    except UnicodeDecodeError as e:  # its position counts from a chunk
+        with open(path, encoding="utf-8-sig") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text ({e.reason})")
+    lines = io.StringIO(text)
+    try:
+        header = [h.strip() for h in next(csv.reader(lines))]
+    except StopIteration:
+        raise DataError(f"{path}: empty file")
     except csv.Error as e:
         raise DataError(f"{path}: {e}")
-    if not xs:
+    if not header or header[0] != "time":
+        raise DataError(f"{path}:1: first column must be 'time'")
+    has_label = header[-1] == "label"
+    n_ch = len(header) - 1 - has_label
+    if n_ch < 1:
+        raise DataError(f"{path}:1: no channel columns found")
+    if not text[lines.tell():].strip("\n"):
         raise DataError(f"{path}: no data rows")
-    x, y = np.asarray(xs), np.asarray(ys)
-    finite = np.isfinite(x) & np.isfinite(y).all(axis=1)
-    if not finite.all():
-        bad = linenos[np.argmin(finite)]
-        raise DataError(f"{path}:{bad}: non-finite value")
-    if np.any(np.diff(x) <= 0):
-        bad = linenos[int(np.flatnonzero(np.diff(x) <= 0)[0]) + 1]
-        raise DataError(f"{path}:{bad}: time not strictly increasing")
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
+                           ndmin=2)
+    except ValueError as e:
+        _raise_row_error(path, text, header, str(e))
+    x, y = table[:, 0], table[:, 1:1 + n_ch]
+    checks = [  # in the row loop's order; it words the first two itself
+        (table.shape[1] == len(header), "wrong field count"),
+        (not has_label or np.abs(table[:, -1]) < 2.0**63, "label too large"),
+        (np.isfinite(x) & np.isfinite(y).all(axis=1), "non-finite value"),
+        (np.append(True, x[1:] > x[:-1]), "time not strictly increasing"),
+        (not _has_long_line(text, csv.field_size_limit()), None)]
+    for ok, message in checks:
+        if not np.all(ok):
+            _raise_row_error(path, text, header, message, np.argmin(ok))
     y = (y - y.mean(axis=0)) / np.maximum(y.std(axis=0), 1e-8)
-    return TimeSeries(x, y, np.asarray(labels, dtype=np.int64) if has_label else None)
+    labels = table[:, -1].astype(np.int64) if has_label else None
+    return TimeSeries(x, y, labels)
+
+
+def _has_long_line(text: str, limit: int) -> bool:
+    """Whether a line is longer than `limit`, in about len / limit rfinds."""
+    start = 0
+    while len(text) - start > limit:
+        end = text.rfind("\n", start, start + limit + 1)
+        if end < 0:
+            return True
+        start = end + 1
+    return False
+
+
+def _number(field: str) -> float:
+    """A field as `np.loadtxt` reads it: C's strtod on ASCII (`inf`,
+    `infinity` and `nan` too, no `_`), padded with whitespace."""
+    core = field.strip()
+    if not core.isascii() or "_" in core:
+        raise ValueError(f"could not convert string to float: {field!r}")
+    return float(core)
+
+
+def _raise_row_error(path, text, header, message=None, row=None):
+    """The row loop that once parsed every file, kept to name a line.
+
+    It raises the first record's error: a field count, a field `_number`
+    refuses, a label not finite or of magnitude 2**63 or more, or a field
+    over csv's size limit. Else it raises `message` at data row `row`
+    (blank lines are not rows) or at the path; with no message it returns.
+    """
+    linenos = []
+    try:
+        reader = csv.reader(io.StringIO(text))
+        next(reader)
+        for lineno, fields in enumerate(reader, start=2):
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise DataError(f"{path}:{lineno}: expected "
+                                f"{len(header)} fields, got {len(fields)}")
+            try:
+                label = [_number(v) for v in fields][-1]
+            except ValueError as e:
+                raise DataError(f"{path}:{lineno}: {e}")
+            if header[-1] == "label" and not abs(label) < 2.0**63:
+                raise DataError(f"{path}:{lineno}: label {fields[-1].strip()}"
+                                " is not a finite number below 2**63 in "
+                                "magnitude")
+            linenos.append(lineno)
+    except csv.Error as e:
+        raise DataError(f"{path}: {e}")
+    if message is not None:
+        at = "" if row is None else f":{linenos[row]}"
+        raise DataError(f"{path}{at}: {message}")

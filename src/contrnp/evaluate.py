@@ -10,7 +10,7 @@ import numpy as np
 from .autodiff import Tensor
 from .data import Segment, sample_views
 from .model import ConvCnpModel
-from .train import Adam
+from .train import Adam, NumericError
 
 HOLDOUT_FRACTION = 0.2
 PROBE_LR = 1e-2
@@ -51,14 +51,22 @@ def extract(model: ConvCnpModel, segments: list[Segment], m: int,
     (`ConvCnpModel.encode_views`, as in training), so each CNN layer builds
     their columns in one copy and runs their GEMMs in one numpy call; every
     view's representation is bitwise the one `model.represent` gives it
-    alone."""
+    alone. A representation whose squared norm is not finite (NaN or inf
+    in it, or too large for the metrics' squared distances) is a
+    NumericError."""
     reps, labels = [], []
     for seg in segments:
         _, rep = model.encode_views(
             sample_views(seg, m, a, b, n_context_range, rng))
         reps.append(np.mean(rep.r.data, axis=0))
         labels.append(-1 if seg.label is None else seg.label)
-    return EncodedDataset(np.asarray(reps), np.asarray(labels, dtype=np.int64))
+    reps = np.asarray(reps)
+    sq_norms = np.einsum("ij,ij->i", reps, reps)
+    if not np.isfinite(sq_norms).all():
+        bad = np.argmin(np.isfinite(sq_norms))
+        raise NumericError(f"segment {segments[bad].segment_id}: the squared "
+                           f"norm of its representation is {sq_norms[bad]}")
+    return EncodedDataset(reps, np.asarray(labels, dtype=np.int64))
 
 
 def stratified_indices(labels: np.ndarray, fraction: float,

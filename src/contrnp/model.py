@@ -315,7 +315,7 @@ def load_checkpoint(path) -> tuple[ConvCnpModel, dict, int]:
     only evaluated, so its forward passes record no tape. A truncated file,
     a payload that does not match its SHA-256, or bytes after the hash are
     a CheckpointError, and so is a config that does not parse as JSON or
-    does not fit ModelConfig.
+    does not fit ModelConfig, and a parameter that holds NaN or inf.
     """
     buf = Path(path).read_bytes()
     pos = 0
@@ -364,6 +364,9 @@ def load_checkpoint(path) -> tuple[ConvCnpModel, dict, int]:
             raise CheckpointError(
                 f"{path}: shape mismatch for parameter '{name}': "
                 f"file {arr.shape} vs model {model.params[name].shape}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(
+                f"{path}: parameter '{name}' holds a non-finite value")
         model.params[name] = Tensor(arr.copy())
     missing = set(model.params) - set(raw)
     if missing:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from contrnp import autodiff as ad
 from contrnp.autodiff import Tensor
+from contrnp.data import DataError, TimeSeries
 from contrnp.losses import ContrastiveConfig, combined_loss
 from contrnp.train import NumericError, clip_gradients
 
@@ -114,6 +116,79 @@ def per_view_train_step(model, batch, cfg, opt):
             f"non-finite gradient norm {grad_norm} before the update")
     opt.step()
     return breakdown
+
+
+def reference_write_csv(series, path):
+    """`data.write_csv` as it was before it wrote column-wise: one
+    `writerow` per row, each float through `repr(float(...))`. The oracle
+    for the column-wise writer's bytes."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        header = ["time"] + [f"ch{c}" for c in range(series.n_channels)]
+        if series.labels is not None:
+            header.append("label")
+        w.writerow(header)
+        for i in range(len(series.x)):
+            row = [repr(float(series.x[i]))]
+            row += [repr(float(v)) for v in series.y[i]]
+            if series.labels is not None:
+                row.append(int(series.labels[i]))
+            w.writerow(row)
+
+
+def reference_load_csv(path) -> TimeSeries:
+    """`data.load_csv` as it was before `np.loadtxt` parsed the body: a
+    Python loop over the csv records, `float` per field, labels as
+    `int(float(v))`. The differential oracle: on a file both grammars
+    read alike, `load_csv` returns bitwise its TimeSeries or a DataError
+    naming its line. A label of magnitude 2**63 or more ends here in an
+    OverflowError, as it did."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as f:
+            reader = csv.reader(f)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            if not header or header[0] != "time":
+                raise DataError(f"{path}:1: first column must be 'time'")
+            has_label = header[-1] == "label"
+            n_ch = len(header) - 1 - (1 if has_label else 0)
+            if n_ch < 1:
+                raise DataError(f"{path}:1: no channel columns found")
+            xs, ys, labels, linenos = [], [], [], []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{lineno}: expected "
+                                    f"{len(header)} fields, got {len(row)}")
+                try:
+                    xs.append(float(row[0]))
+                    ys.append([float(v) for v in row[1:1 + n_ch]])
+                    if has_label:
+                        labels.append(int(float(row[1 + n_ch])))
+                except (ValueError, OverflowError) as e:
+                    raise DataError(f"{path}:{lineno}: {e}")
+                linenos.append(lineno)
+    except UnicodeDecodeError as e:  # its position counts from a chunk
+        raise DataError(f"{path}: not UTF-8 text ({e.reason})")
+    except csv.Error as e:
+        raise DataError(f"{path}: {e}")
+    if not xs:
+        raise DataError(f"{path}: no data rows")
+    x, y = np.asarray(xs), np.asarray(ys)
+    finite = np.isfinite(x) & np.isfinite(y).all(axis=1)
+    if not finite.all():
+        bad = linenos[np.argmin(finite)]
+        raise DataError(f"{path}:{bad}: non-finite value")
+    if np.any(np.diff(x) <= 0):
+        bad = linenos[int(np.flatnonzero(np.diff(x) <= 0)[0]) + 1]
+        raise DataError(f"{path}:{bad}: time not strictly increasing")
+    y = (y - y.mean(axis=0)) / np.maximum(y.std(axis=0), 1e-8)
+    return TimeSeries(x, y,
+                      np.asarray(labels, dtype=np.int64) if has_label else None)
 
 
 def relu(a):

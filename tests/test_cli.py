@@ -100,6 +100,19 @@ def rewrite_config(src, dst, edit):
     Path(dst).write_bytes(payload + hashlib.sha256(payload).digest())
 
 
+def rewrite_param(src, dst, name, edit):
+    """Copy checkpoint `src` to `dst` with the values of parameter `name`
+    changed in place by `edit(values)` and the SHA-256 recomputed."""
+    model, _, _ = load_checkpoint(src)
+    old = np.ascontiguousarray(model.params[name].data, dtype="<f8")
+    new = old.copy()
+    edit(new)
+    payload = Path(src).read_bytes()[:-32]
+    assert payload.count(old.tobytes()) == 1
+    payload = payload.replace(old.tobytes(), new.tobytes())
+    Path(dst).write_bytes(payload + hashlib.sha256(payload).digest())
+
+
 def read_csv(path):
     with open(path, newline="") as f:
         return list(csv.reader(f))
@@ -367,6 +380,28 @@ class TestEval:
         assert capsys.readouterr().err == f"error: {bad}:6: non-finite value\n"
         assert not (tmp_path / "ev" / "metrics.csv").exists()
 
+    # each once exited 0 and wrote `silhouette,nan` and `davies_bouldin,0.0`
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
+    def test_non_finite_representation_is_refused(self, tmp_path, dataset,
+                                                  trained, capsys, value):
+        ckpt = tmp_path / "edited.ckpt"
+        rewrite_param(trained / "model.ckpt", ckpt, "repr_w",
+                      lambda w: w.__setitem__((0, 0), value))
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset),
+                   "--out", str(tmp_path / "ev")])
+        err = capsys.readouterr().err.splitlines()
+        if np.isfinite(value):  # finite, but its squares overflow
+            assert rc == 3
+            assert len(err) == 1 and re.fullmatch(
+                r"error: segment \d+: the squared norm of its "
+                r"representation is inf", err[0])
+        else:
+            assert rc == 2
+            assert err == [f"error: {ckpt}: parameter 'repr_w' holds a "
+                           "non-finite value"]
+        assert not (tmp_path / "ev" / "metrics.csv").exists()
+
     def test_missing_checkpoint(self, tmp_path, dataset):
         rc = main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"),
                    "--data", str(dataset), "--out", str(tmp_path)])
@@ -406,6 +441,38 @@ class TestForecast:
         assert rows[0] == ["x", "y_true0", "mu0", "sigma0"]
         sigma = np.array([float(r[3]) for r in rows[1:]])
         assert np.all(sigma > 0)
+
+    # raw_len_out = nan once exited 0 and wrote 64 rows of NaN
+    def test_non_finite_parameter_is_refused(self, tmp_path, dataset, trained,
+                                             capsys):
+        ckpt = tmp_path / "edited.ckpt"
+        rewrite_param(trained / "model.ckpt", ckpt, "raw_len_out",
+                      lambda v: v.fill(np.nan))
+        capsys.readouterr()
+        out = tmp_path / "fc.csv"
+        rc = main(["forecast", "--checkpoint", str(ckpt), "--data",
+                   str(dataset), "--n-context", "8", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: parameter 'raw_len_out' holds a non-finite "
+            "value\n")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_prediction_exits_3(self, tmp_path, dataset, trained,
+                                           capsys):
+        # finite weights whose products overflow the decoder's mean
+        ckpt = tmp_path / "edited.ckpt"
+        rewrite_param(trained / "model.ckpt", ckpt, "dec_mu_w",
+                      lambda w: w.fill(1e308))
+        capsys.readouterr()
+        out = tmp_path / "fc.csv"
+        rc = main(["forecast", "--checkpoint", str(ckpt), "--data",
+                   str(dataset), "--n-context", "8", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: segment 0: non-finite prediction\n")
+        assert not out.exists()
 
     def test_segment_out_of_range(self, tmp_path, dataset, trained):
         rc = main(["forecast", "--checkpoint", str(trained / "model.ckpt"),
@@ -693,7 +760,8 @@ def test_bad_path_is_data_error(tmp_path, fuzz_dir, fuzz_run, command, flag,
 # rows for too few or too short windows.
 BAD_HEADERS = ["", "t,ch0,label", "time", "time,label", "\ufefftime,ch0,label",
                "time,ch0,label,extra"]
-BAD_CELLS = ["nan", "inf", "-inf", "", "x", "1e999", "0x10"]
+BAD_CELLS = ["nan", "inf", "-inf", "", "x", "1e999", "0x10", "1_000",
+             '"1.5"', "1e20", "1" * 200_000]
 BAD_BYTES = [b"\xff", b"\xc3\x28", b"\x80", b"\xed\xa0\x80", NON_UTF8_BYTES]
 CSV_KINDS = ["header", "short_row", "blank_lines", "non_monotone", "bad_cell",
              "non_utf8", "time_jump", "truncate", "extra_channel"]
@@ -739,13 +807,15 @@ csv_mutations = st.lists(st.tuples(st.sampled_from(CSV_KINDS),
                          min_size=1, max_size=3)
 
 
-# one of each kind; the cells are a `nan` time, an `inf` value and a
-# `-inf` label, and the bytes are the 200 of NON_UTF8_BYTES
+# one of each kind; the cells are a `nan` time, an `inf` value, a `-inf`
+# label, a `1_000` value, a quoted `"1.5"` value, a `1e20` label and a
+# 200,000-digit value, and the bytes are the 200 of NON_UTF8_BYTES
 PINNED_MUTATIONS = [
     ("header", 100, 4), ("short_row", 100, 0), ("blank_lines", 100, 1),
     ("non_monotone", 100, 0), ("bad_cell", 100, 0), ("bad_cell", 100, 1),
-    ("bad_cell", 100, 2), ("non_utf8", 100, 4), ("time_jump", 100, 0),
-    ("truncate", 100, 0), ("extra_channel", 100, 0)]
+    ("bad_cell", 100, 2), ("bad_cell", 100, 7), ("bad_cell", 100, 19),
+    ("bad_cell", 100, 20), ("bad_cell", 100, 10), ("non_utf8", 100, 4),
+    ("time_jump", 100, 0), ("truncate", 100, 0), ("extra_channel", 100, 0)]
 
 
 def pin_csv_mutations(test):
@@ -769,6 +839,58 @@ def test_fuzzed_csv_ends_in_exit_code(fuzz_dir, fuzz_run, command,
     assert rc in (0, 1, 2, 3)
     if rc:
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+# the parameters of SMALL_CONFIG's model (cnn_depth = 2)
+PARAM_NAMES = ["conv0_b", "conv0_w", "conv1_b", "conv1_w", "dec_b1",
+               "dec_mu_b", "dec_mu_w", "dec_sig_b", "dec_sig_w", "dec_w1",
+               "raw_len_in", "raw_len_out", "repr_b", "repr_w"]
+
+
+# One value of the fuzz checkpoint overwritten under a recomputed SHA-256:
+# load_checkpoint refuses a non-finite one; a finite extreme can overflow
+# the representations or predictions, which must then end in an error.
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(PARAM_NAMES), at=st.integers(0, 10_000),
+       value=st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300]),
+       command=st.sampled_from(["eval", "forecast"]))
+@example(name="repr_w", at=0, value=1e300, command="eval")
+@example(name="dec_mu_w", at=0, value=-1e300, command="forecast")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fuzzed_parameter_ends_in_exit_code(fuzz_dir, fuzz_run, name, at,
+                                            value, command):
+    ckpt = fuzz_dir / "param.ckpt"
+    rewrite_param(fuzz_run / "model.ckpt", ckpt, name,
+                  lambda v: v.reshape(-1).__setitem__(at % v.size, value))
+    argv = command_argv(command, fuzz_dir, fuzz_run)
+    argv[argv.index("--checkpoint") + 1] = ckpt
+    out = Path(argv[argv.index("--out") + 1])
+    out = out / "metrics.csv" if command == "eval" else out
+    out.unlink(missing_ok=True)
+    rc, err = run_main(argv)
+    if not np.isfinite(value):
+        assert (rc, err) == (2, [f"error: {ckpt}: parameter '{name}' holds "
+                                 "a non-finite value"])
+    elif rc:
+        assert rc in (2, 3) and len(err) == 1 and err[0].startswith("error: ")
+    else:
+        cells = [c for row in read_csv(out)[1:] for c in row[1:]]
+        assert all(np.isfinite(float(c)) for c in cells)
+
+
+# a 1e20 label once ended in an OverflowError traceback, exit 1
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_out_of_range_label_is_data_error(tmp_path, fuzz_dir, fuzz_run,
+                                          command):
+    lines = (fuzz_dir / "data.csv").read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + ",1e20"
+    data = tmp_path / "bad.csv"
+    data.write_text("\n".join(lines) + "\n")
+    argv = command_argv(command, fuzz_dir, fuzz_run)
+    argv[argv.index("--data") + 1] = data
+    assert run_main(argv) == (2, [
+        f"error: {data}:6: label 1e20 is not a finite number below 2**63 "
+        "in magnitude"])
 
 
 @pytest.fixture(scope="module")

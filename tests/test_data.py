@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from contrnp.data import (DataError, TimeSeries, load_csv, make_batch,
-                          sample_views, segmentize, segments_to_series,
-                          synth_generate, write_csv)
+from contrnp.data import (DataError, TimeSeries, _number, load_csv,
+                          make_batch, sample_views, segmentize,
+                          segments_to_series, synth_generate, write_csv)
+
+from conftest import reference_load_csv, reference_write_csv
 
 
 def make_series(t=20, c=1):
@@ -208,6 +212,233 @@ class TestCsv:
         p.write_text("time,ch0\n0,1\nx,2\n")
         with pytest.raises(DataError, match=":3"):
             load_csv(p)
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_writer_bytes_match_row_writer(self, tmp_path, rng, channels,
+                                           labeled):
+        n = 50
+        series = TimeSeries(np.cumsum(rng.uniform(0.1, 2.0, n)),
+                            rng.standard_normal((n, channels)) * 1e3,
+                            rng.integers(-3, 4, n) if labeled else None)
+        write_csv(series, tmp_path / "columns.csv")
+        reference_write_csv(series, tmp_path / "rows.csv")
+        assert ((tmp_path / "columns.csv").read_bytes()
+                == (tmp_path / "rows.csv").read_bytes())
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_bitwise_equal_to_row_loop(self, tmp_path, rng, channels):
+        # the size of the eval benchmark's corpus: 20,000 rows
+        segs = synth_generate(4, 25, 200, 0.1, rng)
+        series = segments_to_series(segs)
+        series.y = np.repeat(series.y, channels, axis=1) * np.arange(
+            1, channels + 1)
+        path = tmp_path / "data.csv"
+        write_csv(series, path)
+        assert outcome(load_csv, path) == outcome(reference_load_csv, path)
+
+    @pytest.mark.parametrize("label", [
+        "1e20", "-1e20", "9.3e18", "9223372036854775808",
+        "-9223372036854775808", "1e999"])
+    def test_out_of_range_label_cites_line(self, tmp_path, label):
+        # 1e20 once ended in an OverflowError traceback from np.asarray
+        p = tmp_path / "t.csv"
+        p.write_text(f"time,ch0,label\n0,1,0\n\n1,2,{label}\n2,3,1\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}:4: "
+                                            f"label {label} is not a finite"):
+            load_csv(p)
+
+    def test_largest_label_below_two_to_the_63_is_read(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("time,ch0,label\n0,1,-0.5\n1,2,9.2e18\n")
+        assert (load_csv(p).labels.tolist()
+                == reference_load_csv(p).labels.tolist() == [0, int(9.2e18)])
+
+    @pytest.mark.parametrize("cell", ["1_000", "1_0.5", "\u0661\u0662",
+                                      "\uff11"])
+    def test_python_only_spellings_are_refused(self, tmp_path, cell):
+        # Python's float reads these; np.loadtxt, and so load_csv, do not
+        p = tmp_path / "t.csv"
+        p.write_text(f"time,ch0\n0,1\n1,{cell}\n")
+        assert reference_load_csv(p).x.tolist() == [0.0, 1.0]
+        with pytest.raises(DataError) as e:
+            load_csv(p)
+        assert str(e.value) == (f"{p}:3: could not convert string to "
+                                f"float: {cell!r}")
+
+    @pytest.mark.parametrize("cell", ["0." + "0" * 200_000 + "1",
+                                      " " * 200_000 + "1"])
+    def test_finite_field_over_csv_limit_names_path(self, tmp_path, cell):
+        p = tmp_path / "t.csv"
+        p.write_text(f"time,ch0\n0,1\n1,{cell}\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: field "
+                                            "larger than field limit"):
+            load_csv(p)
+
+    def test_long_line_of_fields_within_csv_limit_is_read(self, tmp_path):
+        pad = "0" * 100_000
+        p = tmp_path / "t.csv"
+        p.write_text(f"time,ch0,ch1\n0,{pad}1,{pad}2\n1,3,{pad}4\n")
+        ts = load_csv(p)
+        assert ts.x.tolist() == [0.0, 1.0]
+        assert outcome(load_csv, p) == outcome(reference_load_csv, p)
+
+
+def outcome(load, path):
+    """What `load(path)` gives: the TimeSeries' bytes, or the line its
+    DataError names (None when it names the path alone)."""
+    try:
+        ts = load(path)
+    except DataError as e:
+        m = re.match(rf"{re.escape(str(path))}(?::(\d+))?: ", str(e))
+        assert m, f"DataError does not start with the path: {e}"
+        return "error", m.group(1)
+    labels = None if ts.labels is None else (ts.labels.dtype.str,
+                                             ts.labels.tobytes())
+    return ("ok", ts.x.dtype.str, ts.x.tobytes(), ts.y.shape,
+            ts.y.dtype.str, ts.y.tobytes(), labels)
+
+
+FIELD_CHARS = list("0123456789.eE+-_ xinfatyINFATY") + [
+    "\t", "\x0b", "\x0c", "\x00", "\x1c", "\x1f", "\x85", "\xa0",
+    "\u2000", "\u3000", "\u0661", "\uff11", "\u00e9"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from(FIELD_CHARS), min_size=1, max_size=10))
+@example("1_000")
+@example("\x1c-Infinity\xa0")
+@example(" 1e-400 ")
+@example("1\x00")
+def test_row_loop_reads_fields_as_loadtxt_does(field):
+    """The row loop names the line of every field np.loadtxt refuses, so
+    the two must take the same numbers, bit for bit."""
+    try:
+        want = np.loadtxt([field], delimiter=",", comments=None,
+                          quotechar='"', ndmin=2)[0, 0]
+    except ValueError:
+        want = None
+    try:
+        got = _number(field)
+    except ValueError:
+        got = None
+    if want is None or got is None:
+        assert want is got
+    else:
+        assert np.float64(got).tobytes() == want.tobytes()
+
+
+# The differential fuzz: mutations of a small labeled CSV, each read by
+# load_csv and by the row-loop oracle. Each mutation is (kind, at, pick):
+# `at` picks the row and `pick` the column and the new value. Both readers
+# take SHARED_CELLS alike. Where the grammars differ on purpose, the oracle
+# is given the spelling that it reads as load_csv reads the original:
+# GRAMMAR_CELLS pairs (cell for load_csv, cell for the oracle), and a label
+# of magnitude 2**63 or more, which the oracle ends in an OverflowError or
+# reads, is given to it as `nan`, which it refuses on that line.
+SHARED_CELLS = ["nan", "inf", "-inf", "", "x", "1e999", "0x10", '"1.5"',
+                " 2.5 ", "+3", "-0", ".5", "5.", "Infinity", "1e-400",
+                '"7"8', '"1,5"', "1 5", "\xa01", "1\u2000", "\u3000", '"',
+                '"2\n"', "1" * 200_000]
+GRAMMAR_CELLS = [("1_000", "x"), ("\u0661\u0662", "x"), ("1_0.5", "x"),
+                 ("\x1c1\x1f", " 1 "), ("\x1d", " ")]
+LABELS = ["0", "2.9", "-0.5", "1e3", "9.2e18", "nan", "inf"]
+BIG_LABELS = ["1e20", "-9.3e18", "9223372036854775808",
+              "-9223372036854775808"]
+HEADERS = ["", "t,ch0", "time", "time,label", "time,ch0", "time,ch0,ch1",
+           "time,ch0,label", " time , ch0 , ch1 , label ",
+           '"time",ch0,ch1,label']
+BAD_BYTES = [b"\xff", b"\xc3\x28", b"\x80", b"\xed\xa0\x80"]
+KINDS = ["cell", "grammar", "label", "blank", "spaces", "short_row",
+         "long_row", "non_monotone", "header", "truncate", "ending", "bom",
+         "non_utf8"]
+
+
+def mutated_files(tmp, mutations):
+    """The fuzz CSV with `mutations` applied: the file for load_csv, the
+    file for the oracle, and whether load_csv's is valid UTF-8."""
+    rng = np.random.default_rng(0)
+    n = 12
+    series = TimeSeries(np.cumsum(rng.uniform(0.5, 1.5, n)),
+                        rng.standard_normal((n, 2)), rng.integers(0, 3, n))
+    write_csv(series, tmp / "base.csv")
+    base = [line.split(",") for line in
+            (tmp / "base.csv").read_text().splitlines()]
+    sides = [[list(r) for r in base], [list(r) for r in base]]
+    ending, bom, bad = "\n", "", None
+    for kind, at, pick in mutations:
+        for side, rows in enumerate(sides):
+            i = 1 + at % (len(rows) - 1) if len(rows) > 1 else 0
+            row = rows[i]
+            if kind == "cell" and row:
+                row[pick % len(row)] = SHARED_CELLS[pick % len(SHARED_CELLS)]
+            elif kind == "grammar" and row:
+                row[pick % len(row)] = GRAMMAR_CELLS[
+                    pick % len(GRAMMAR_CELLS)][side]
+            elif kind == "label" and row:
+                row[-1] = (LABELS + BIG_LABELS)[pick % 11]
+            elif kind == "blank":
+                rows[i:i] = [[] for _ in range(1 + pick % 3)]
+            elif kind == "spaces":
+                rows.insert(i, [" " * (1 + pick % 3)])
+            elif kind == "short_row" and len(row) > 1:
+                row.pop()
+            elif kind == "long_row":
+                row.append("1")
+            elif kind == "non_monotone" and i > 1 and row and rows[i - 1]:
+                row[0] = rows[i - 1][0]
+            elif kind == "header":
+                rows[0] = HEADERS[pick % len(HEADERS)].split(",")
+            elif kind == "truncate":
+                del rows[1 + at % 4:]
+        ending = ["\r\n", "\r", "\n"][pick % 3] if kind == "ending" else ending
+        bom = "\ufeff" if kind == "bom" else bom
+        if kind == "non_utf8":
+            bad = (at, BAD_BYTES[pick % len(BAD_BYTES)])
+    new, old = sides
+    if [h.strip() for h in old[0]][-1:] == ["label"]:
+        for row in old[1:]:
+            if row and row[-1] in BIG_LABELS:
+                row[-1] = "nan"
+    files = []
+    for name, rows in (("new.csv", new), ("old.csv", old)):
+        data = (bom + "".join(",".join(r) + ending for r in rows)).encode()
+        if bad is not None and name == "new.csv":
+            data = data[:bad[0] % (len(data) + 1)] + bad[1] + data[
+                bad[0] % (len(data) + 1):]
+        (tmp / name).write_bytes(data)
+        files.append(tmp / name)
+    return files[0], files[1], bad is None
+
+
+mutation_lists = st.lists(st.tuples(st.sampled_from(KINDS),
+                                    st.integers(0, 10_000),
+                                    st.integers(0, 50)),
+                          min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations=mutation_lists)
+@example(mutations=[("cell", 3, 23)])      # a 200,000-digit ch1
+@example(mutations=[("label", 3, 7)])      # a 1e20 label
+@example(mutations=[("label", 3, 10), ("cell", 5, 0)])  # -2**63, then nan
+@example(mutations=[("grammar", 3, 0)])    # 1_000
+@example(mutations=[("grammar", 3, 1), ("grammar", 3, 3)])
+@example(mutations=[("cell", 3, 22), ("ending", 0, 0)])  # a quoted newline
+@example(mutations=[("cell", 3, 21)])      # a lone quote
+@example(mutations=[("truncate", 4, 0), ("blank", 0, 2)])
+@example(mutations=[("header", 0, 6), ("bom", 0, 0)])
+@example(mutations=[("non_utf8", 7, 0)])
+def test_load_csv_agrees_with_row_loop(tmp_path_factory, mutations):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    new, old, utf8 = mutated_files(tmp, mutations)
+    got = outcome(load_csv, new)
+    if not utf8:  # the whole file is decoded before any row is read
+        with pytest.raises(DataError, match=f"^{re.escape(str(new))}: not "
+                                            "UTF-8 text"):
+            load_csv(new)
+        return
+    assert got == outcome(reference_load_csv, old), mutations
 
 
 @settings(max_examples=25, deadline=None)
