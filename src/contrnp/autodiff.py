@@ -522,11 +522,11 @@ def _as_stack(grids) -> Tensor:
     return grids if isinstance(grids, Tensor) else stack(grids)
 
 
-def _decoder(qn: Tensor, grids, weights, sigma_min: float):
+def _decoder(qn: Tensor, F3: np.ndarray, weights, sigma_min: float):
     """The ConvCNP decoder of V views that share one smoother qn[T, G]: each
-    view's grid features F_v[G, H] (grids, see `_as_stack`) smoothed onto
-    the T targets, one hidden layer, then a mu head and a sigma head over C
-    channels,
+    view's grid features F_v[G, H] (F3[v] of an array [V, G, H]) smoothed
+    onto the T targets, one hidden layer, then a mu head and a sigma head
+    over C channels,
 
         Z_v = relu(qn @ (F_v @ W1) + b1)                        [T, hidden]
         mu_v = Z_v @ W_mu + b_mu
@@ -535,13 +535,12 @@ def _decoder(qn: Tensor, grids, weights, sigma_min: float):
     with weights = (W1, b1, W_mu, b_mu, W_sig, b_sig). All views go through
     one [T, G] x [G, V * hidden] product and one [T * V, hidden] x
     [hidden, 2C] product for both heads. Returns mu and sigma [V, T, C] and
-    the backward that maps their adjoints (arrays of that shape, or 0) to
-    the gradients of (qn, grids [V, G, H], *weights). That backward writes
-    the hidden layer's adjoint over the hidden layer, the largest array
-    here, so it runs once per forward pass: a fresh array of that size
+    the backward that maps their adjoints (arrays of that shape) to the
+    gradients of (qn, the grid features [V, G, H], *weights). That backward
+    writes the hidden layer's adjoint over the hidden layer, the largest
+    array here, so it runs once per forward pass: a fresh array of that size
     every step would be freed to the OS and faulted in again."""
     w1, b1, w_mu, b_mu, w_sig, b_sig = (w.data for w in weights)
-    F3 = _as_stack(grids).data
     (T, G), V = qn.shape, len(F3)
     H, hidden = w1.shape
     C = w_mu.shape[1]
@@ -589,24 +588,6 @@ def _decoder(qn: Tensor, grids, weights, sigma_min: float):
     return mu, sigma, backward
 
 
-def decode(qn: Tensor, grid: Tensor, weights,
-           sigma_min: float) -> tuple[Tensor, Tensor]:
-    """mu and sigma [T, C] of one view's grid features grid[G, H] on the
-    smoother qn[T, G], or [V, T, C] of each view of a stack grid[V, G, H],
-    as `_decoder` computes them: two nodes, each with its own forward pass,
-    since a pass's backward runs once; each runs that backward with the
-    other output's adjoint 0."""
-    grids = grid if grid.ndim == 3 else grid.reshape(1, *grid.shape)
-    mu, _, mu_backward = _decoder(qn, grids, weights, sigma_min)
-    _, sigma, sigma_backward = _decoder(qn, grids, weights, sigma_min)
-    shape = grid.shape[:-2] + mu.shape[1:]
-    parents = (qn, grids, *weights)
-    return (_make(mu.reshape(shape), parents,
-                  lambda g: mu_backward(g.reshape(mu.shape), 0.0)),
-            _make(sigma.reshape(shape), parents,
-                  lambda g: sigma_backward(0.0, g.reshape(sigma.shape))))
-
-
 def decode_nll(qn: Tensor, grids, ys, weights, sigma_min: float) -> Tensor:
     """The mean Gaussian negative log likelihood [V] of each view's targets
     ys[v][T, C] under its prediction by `_decoder` from its grid features
@@ -617,7 +598,7 @@ def decode_nll(qn: Tensor, grids, ys, weights, sigma_min: float) -> Tensor:
     Its backward maps the V adjoints to mu's and sigma's and runs the
     decoder's backward once for all views."""
     grids = _as_stack(grids)
-    mu, sigma, decoder_backward = _decoder(qn, grids, weights, sigma_min)
+    mu, sigma, decoder_backward = _decoder(qn, grids.data, weights, sigma_min)
     diff = mu - np.stack(ys)
     var = sigma * sigma
     point = np.log(sigma) + HALF_LOG_2PI + diff * diff / (var * 2.0)

@@ -50,10 +50,10 @@ def extract(model: ConvCnpModel, segments: list[Segment], m: int,
     The M views of a segment go through the encoder as one stack
     (`ConvCnpModel.encode_views`, as in training), so each CNN layer builds
     their columns in one copy and runs their GEMMs in one numpy call; every
-    view's representation is bitwise the one `model.represent` gives it
-    alone. A representation whose squared norm is not finite (NaN or inf
-    in it, or too large for the metrics' squared distances) is a
-    NumericError."""
+    view's representation is bitwise the one
+    `model.encode(model.embed_context(...))` gives it alone. A
+    representation whose squared norm is not finite (NaN or inf in it, or
+    too large for the metrics' squared distances) is a NumericError."""
     reps, labels = [], []
     for seg in segments:
         _, rep = model.encode_views(

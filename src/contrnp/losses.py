@@ -85,60 +85,42 @@ def _target_array(target_y, shape) -> np.ndarray:
         y = y[:, None]
     if y.shape != shape:
         raise ad.ShapeMismatchError(
-            f"gaussian_nll: targets {y.shape} vs prediction {shape}")
+            f"NLL: targets {y.shape} vs prediction {shape}")
     return y
 
 
-def gaussian_nll(pred: GaussianPrediction, target_y) -> Tensor:
-    """Mean Gaussian negative log likelihood over target points and channels."""
-    diff = pred.mu - Tensor(_target_array(target_y, pred.mu.shape))
-    point_nll = (ad.log(pred.sigma) + ad.HALF_LOG_2PI
-                 + diff * diff / (pred.sigma * pred.sigma * 2.0))
-    return ad.mean_axis(point_nll)
-
-
-def _decode_group(pred) -> tuple | None:
+def _decode_group(pred: GaussianPrediction) -> tuple:
     """What the views decoded by one node share: the smoother and the decoder
-    weights, and the stack itself for a stack of views; None for a
-    prediction given as mu and sigma."""
-    p = pred.pending
-    if p is None:
-        return None
-    stack = (id(p.grid_features),) if p.grid_features.ndim == 3 else ()
-    return (id(p.smoother), *map(id, p.weights), *stack)
+    weights, and the stack itself for a stack of views."""
+    stack = (id(pred.grid_features),) if pred.grid_features.ndim == 3 else ()
+    return (id(pred.smoother), *map(id, pred.weights), *stack)
 
 
 def _view_nlls(preds: list[GaussianPrediction], targets: list) -> Tensor:
     """The Gaussian NLL of each view [n_views], in view order, where
-    `targets` holds one entry per view and a prediction pending on a stack
-    of V views covers V of them. A stack, as `train_step` decodes each
-    target set, and each run of adjacent single-view predictions pending
-    on one smoother are decoded and scored by one `autodiff.decode_nll`
-    node; a prediction given as mu and sigma by `gaussian_nll`.
+    `targets` holds one entry per view and a prediction on a stack of V
+    views covers V of them. A stack, as `train_step` decodes each target
+    set, and each run of adjacent single-view predictions on one smoother
+    are decoded and scored by one `autodiff.decode_nll` node.
     (`ConvCnpModel._smoother` keeps only the last target set, so in decode
     order the views on one smoother node are adjacent.)"""
     parts, at = [], 0
-    for key, run in itertools.groupby(preds, key=_decode_group):
+    for _, run in itertools.groupby(preds, key=_decode_group):
         run = list(run)
-        first = run[0].pending
-        if key is None:
-            grids, n = None, len(run)
-        elif first.grid_features.ndim == 3:     # a stack: a group of its own
+        first = run[0]
+        if first.grid_features.ndim == 3:       # a stack: a group of its own
             grids, n = first.grid_features, first.grid_features.shape[0]
         else:
-            grids = [p.pending.grid_features for p in run]
+            grids = [p.grid_features for p in run]
             n = len(grids)
         ys = targets[at:at + n]
         at += n
         if len(ys) < n:
             break
-        if grids is None:
-            parts += [gaussian_nll(p, y).reshape(1) for p, y in zip(run, ys)]
-        else:
-            parts.append(ad.decode_nll(
-                first.smoother, grids,
-                [_target_array(y, first.shape) for y in ys], first.weights,
-                SIGMA_MIN))
+        parts.append(ad.decode_nll(
+            first.smoother, grids,
+            [_target_array(y, first.shape) for y in ys], first.weights,
+            SIGMA_MIN))
     if at != len(targets):
         raise ValueError(f"{len(targets)} targets for the predicted views")
     return parts[0] if len(parts) == 1 else ad.concat(parts)

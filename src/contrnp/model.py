@@ -85,9 +85,13 @@ DECODER_PARAMS = ("dec_w1", "dec_b1", "dec_mu_w", "dec_mu_b", "dec_sig_w",
                   "dec_sig_b")
 
 
-class PendingDecode(NamedTuple):
-    """A view, or a stack of views on one target set, that
-    `ConvCnpModel.decode` has not decoded yet."""
+class GaussianPrediction(NamedTuple):
+    """The per-channel Gaussian prediction [n_target, C] of a view, or
+    [V, n_target, C] of a stack of V views on one target set, as
+    `ConvCnpModel.decode` leaves it: the grid features with the smoother
+    onto the targets and the decoder weights, not decoded yet.
+    `losses.combined_loss` decodes and scores it in one
+    `autodiff.decode_nll` node; `mu_sigma` reads its values."""
     smoother: Tensor         # [n_target, G], shared by views on one target set
     grid_features: Tensor    # [G, H], or [V, G, H] for a stack of V views
     weights: tuple           # the DECODER_PARAMS Tensors
@@ -98,32 +102,15 @@ class PendingDecode(NamedTuple):
         per channel."""
         return (self.smoother.shape[0], self.weights[-1].shape[0])
 
-
-class GaussianPrediction:
-    """Per-channel Gaussian mu and sigma [n_target, C] ([V, n_target, C]
-    for a stack of views), given directly or, from `ConvCnpModel.decode`,
-    pending: built on first read from `pending` (with the decoder weights'
-    values at that time) as a group of its own. `losses.combined_loss`
-    scores pending views without building them."""
-
-    def __init__(self, mu: Tensor | None = None, sigma: Tensor | None = None,
-                 pending: PendingDecode | None = None):
-        self._mu, self._sigma, self.pending = mu, sigma, pending
-
-    @property
-    def mu(self) -> Tensor:
-        return self._built()[0]
-
-    @property
-    def sigma(self) -> Tensor:
-        return self._built()[1]
-
-    def _built(self):
-        if self._mu is None:
-            p = self.pending
-            self._mu, self._sigma = ad.decode(p.smoother, p.grid_features,
-                                              p.weights, SIGMA_MIN)
-        return self._mu, self._sigma
+    def mu_sigma(self) -> tuple[np.ndarray, np.ndarray]:
+        """mu and sigma, from one `autodiff._decoder` pass with the
+        decoder weights' values at the time of the call; records no tape."""
+        grids = self.grid_features.data
+        mu, sigma, _ = ad._decoder(self.smoother,
+                                   grids.reshape(-1, *grids.shape[-2:]),
+                                   self.weights, SIGMA_MIN)
+        shape = grids.shape[:-2] + mu.shape[1:]
+        return mu.reshape(shape), sigma.reshape(shape)
 
 
 def _inv_softplus(y: float) -> float:
@@ -224,17 +211,17 @@ class ConvCnpModel:
     def decode(self, grid_features: Tensor,
                target_x: np.ndarray) -> GaussianPrediction:
         """The Gaussian prediction at the targets from the grid features of
-        one view [G, H], or of a stack of views [V, G, H] on these targets:
-        pending on the smoother onto the targets, which the views of one
-        target set share (see GaussianPrediction)."""
+        one view [G, H], or of a stack of views [V, G, H] on these targets,
+        with the smoother onto the targets, which the views of one target
+        set share (see GaussianPrediction)."""
         target_x = np.asarray(target_x, dtype=np.float64)
         lo, hi = self.grid_x[0], self.grid_x[-1]
         if target_x.min() < lo or target_x.max() > hi:
             raise ValueError(
                 f"target x outside grid span [{lo:.3f}, {hi:.3f}]")
         weights = tuple(self.params[name] for name in DECODER_PARAMS)
-        return GaussianPrediction(pending=PendingDecode(
-            self._smoother(target_x), grid_features, weights))
+        return GaussianPrediction(self._smoother(target_x), grid_features,
+                                  weights)
 
     def _smoother(self, target_x: np.ndarray) -> Tensor:
         """The row-normalised RBF smoother [T, G] from the grid onto the
@@ -255,12 +242,11 @@ class ConvCnpModel:
 
     def decode_views(self, grid_features: Tensor,
                      target_xs) -> list[GaussianPrediction]:
-        """The pending predictions of the views stacked in grid_features
-        [V, G, H] at their targets target_xs[v]: one per run of adjacent
-        views with equal targets, pending on that run's rows of the stack,
-        so the runs are the ones `_smoother` gives views decoded one by
-        one. Segments cut from a series with uneven timestamps have
-        targets of their own."""
+        """The predictions of the views stacked in grid_features [V, G, H]
+        at their targets target_xs[v]: one per run of adjacent views with
+        equal targets, on that run's rows of the stack, so the runs are the
+        ones `_smoother` gives views decoded one by one. Segments cut from a
+        series with uneven timestamps have targets of their own."""
         preds, start, n = [], 0, len(target_xs)
         for stop in range(1, n + 1):
             if stop < n and np.array_equal(target_xs[stop], target_xs[start]):
@@ -280,10 +266,6 @@ class ConvCnpModel:
     def predict(self, context_x, context_y, target_x) -> GaussianPrediction:
         grid_features, _ = self.encode(self.embed_context(context_x, context_y))
         return self.decode(grid_features, target_x)
-
-    def represent(self, context_x, context_y) -> Representation:
-        _, rep = self.encode(self.embed_context(context_x, context_y))
-        return rep
 
 
 # -- checkpoint container --------------------------------------------------------
@@ -315,7 +297,8 @@ def load_checkpoint(path) -> tuple[ConvCnpModel, dict, int]:
     only evaluated, so its forward passes record no tape. A truncated file,
     a payload that does not match its SHA-256, or bytes after the hash are
     a CheckpointError, and so is a config that does not parse as JSON or
-    does not fit ModelConfig, and a parameter that holds NaN or inf.
+    does not fit ModelConfig, a parameter that holds NaN or inf, and a
+    lengthscale whose square is 0, subnormal or inf.
     """
     buf = Path(path).read_bytes()
     pos = 0
@@ -371,4 +354,11 @@ def load_checkpoint(path) -> tuple[ConvCnpModel, dict, int]:
     missing = set(model.params) - set(raw)
     if missing:
         raise CheckpointError(f"{path}: missing parameters {sorted(missing)}")
+    for name, ell in zip(("raw_len_in", "raw_len_out"), model.lengthscales()):
+        # the RBF weights divide by ell^2: at 0 or inf numpy warns, and the
+        # weights are 0, NaN or all 1
+        if not np.finfo(np.float64).tiny <= ell * ell < math.inf:
+            raise CheckpointError(
+                f"{path}: parameter '{name}' gives the lengthscale {ell!r}, "
+                "whose square is not a finite normal float")
     return model, cfg, seed

@@ -208,6 +208,21 @@ def getitem(a, key):
     return ad._make(a.data[key], (a,), backward)
 
 
+def gaussian_nll(mu, sigma, y):
+    """The mean Gaussian negative log likelihood of targets y under
+    per-channel mu and sigma, from elementary ops: the oracle that the
+    decode-and-score node `autodiff.decode_nll` is checked against."""
+    diff = mu - y
+    point_nll = (ad.log(sigma) + ad.HALF_LOG_2PI
+                 + diff * diff / (sigma * sigma * 2.0))
+    return ad.mean_axis(point_nll)
+
+
+def represent(model, context_x, context_y):
+    """The Representation of one view's context."""
+    return model.encode(model.embed_context(context_x, context_y))[1]
+
+
 def composed_rbf(d2, ell, normalize=False):
     """RBF weights from elementary ops: exp of the scaled squared distances,
     then, with `normalize` (as `autodiff.rbf`), a row sum and a divide."""

@@ -18,13 +18,12 @@ from contrnp.autodiff import Tensor
 from contrnp.data import Segment, make_batch, sample_views, synth_generate
 from contrnp.evaluate import (EncodedDataset, accuracy, davies_bouldin,
                               extract, holdout_split, silhouette, train_probe)
-from contrnp.losses import (ContrastiveConfig, combined_loss,
-                            contrastive_loss, gaussian_nll)
+from contrnp.losses import ContrastiveConfig, combined_loss, contrastive_loss
 from contrnp.model import (ConvCnpModel, ModelConfig, load_checkpoint,
                            save_checkpoint)
 from contrnp.train import TrainConfig, train
 
-from conftest import (conv1d, finite_diff_grads, rel_err, relu,
+from conftest import (conv1d, finite_diff_grads, rel_err, relu, represent,
                       translate_check)
 from test_evaluate import blobs, dbi_reference, silhouette_reference
 from test_losses import brute_force_contrastive, rep_tensors
@@ -83,7 +82,7 @@ def forecast_rmse(model, segments, n_context=40, n_segments=10, seed=123):
     for seg in segments[:n_segments]:
         v = sample_views(seg, 1, 0.25, 0.75, (n_context, n_context), rng)[0]
         pred = model.predict(v.context_x, v.context_y, v.target_x)
-        errs.append(np.sqrt(np.mean((pred.mu.data - v.target_y) ** 2)))
+        errs.append(np.sqrt(np.mean((pred.mu_sigma()[0] - v.target_y) ** 2)))
     return float(np.mean(errs))
 
 
@@ -275,16 +274,15 @@ def test_criterion_3_structural_invariants():
     cx = rng.uniform(0.3, 0.7, size=12)
     cy = rng.standard_normal((12, 1))
 
-    r0 = model.represent(cx, cy).r.data
+    r0 = represent(model, cx, cy).r.data
     perm = rng.permutation(12)
-    r1 = model.represent(cx[perm], cy[perm]).r.data
+    r1 = represent(model, cx[perm], cy[perm]).r.data
     perm_err = float(np.abs(r0 - r1).max())
 
     tx = np.linspace(0.35, 0.55, 9)
     pred, pred_shifted = translate_check(model, cx, cy, tx, delta_steps=3)
-    trans_err = float(max(np.abs(pred.mu.data - pred_shifted.mu.data).max(),
-                          np.abs(pred.sigma.data
-                                 - pred_shifted.sigma.data).max()))
+    trans_err = float(max(np.abs(got - want).max() for got, want
+                          in zip(pred.mu_sigma(), pred_shifted.mu_sigma())))
 
     sigma_min = np.inf
     for seed in range(5):
@@ -296,7 +294,7 @@ def test_criterion_3_structural_invariants():
         m.params["dec_sig_b"].data[:] = -50.0
         p = m.predict(r.uniform(0.3, 0.7, 8), r.standard_normal((8, 1)),
                       np.linspace(0, 1, 20))
-        sigma_min = min(sigma_min, float(p.sigma.data.min()))
+        sigma_min = min(sigma_min, float(p.mu_sigma()[1].min()))
 
     preds, targets, reps = [], [], []
     for krow in range(2):

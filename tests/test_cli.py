@@ -878,6 +878,38 @@ def test_fuzzed_parameter_ends_in_exit_code(fuzz_dir, fuzz_run, name, at,
         assert all(np.isfinite(float(c)) for c in cells)
 
 
+# A lengthscale softplus(raw) of 0 or one whose square overflows: each once
+# printed numpy RuntimeWarnings and then exited 0, exited 3, or ended in a
+# data error ("coincident centroids") that pointed at the CSV.
+@pytest.mark.parametrize("command", ["eval", "forecast"])
+@pytest.mark.parametrize("name, value", [
+    ("raw_len_in", -1e300), ("raw_len_in", 1e300), ("raw_len_out", -1e300),
+    ("raw_len_out", 1e300)])
+def test_degenerate_lengthscale_is_one_error_line(tmp_path, fuzz_dir,
+                                                  fuzz_run, name, value,
+                                                  command):
+    ckpt = tmp_path / "param.ckpt"
+    rewrite_param(fuzz_run / "model.ckpt", ckpt, name,
+                  lambda v: v.fill(value))
+    argv = command_argv(command, fuzz_dir, fuzz_run)
+    argv[argv.index("--checkpoint") + 1] = ckpt
+    argv[argv.index("--out") + 1] = tmp_path / "out"
+    # numpy's RuntimeWarnings go to the process's stderr, which pytest's
+    # capture would hide, so the CLI runs in a fresh interpreter
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from contrnp.cli import main; sys.exit(main())",
+         *map(str, argv)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    ell = "0.0" if value < 0 else "1e+300"
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: {ckpt}: parameter '{name}' gives the lengthscale {ell}, "
+        "whose square is not a finite normal float\n")
+    assert not (tmp_path / "out").exists()
+
+
 # a 1e20 label once ended in an OverflowError traceback, exit 1
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_out_of_range_label_is_data_error(tmp_path, fuzz_dir, fuzz_run,

@@ -14,7 +14,7 @@ from contrnp.evaluate import (EncodedDataset, EvalError, ProbeModel,
 from contrnp.model import (ConvCnpModel, ModelConfig, load_checkpoint,
                            save_checkpoint)
 
-from conftest import param_hash
+from conftest import param_hash, represent
 
 
 # -- brute-force reference implementations ------------------------------------
@@ -238,7 +238,7 @@ class TestExtract:
         # recompute by hand with the same rng stream
         rng2 = np.random.default_rng(3)
         views = sample_views(segs[0], 3, 0.25, 0.75, (5, 5), rng2)
-        manual = np.mean([model.represent(v.context_x, v.context_y).r.data
+        manual = np.mean([represent(model, v.context_x, v.context_y).r.data
                           for v in views], axis=0)
         np.testing.assert_array_equal(enc1.reps[0], manual)
 
@@ -255,7 +255,7 @@ class TestExtract:
         for seg in segs:
             views = sample_views(seg, 8, 0.25, 0.75, (20, 100), rng2)
             want.append(np.mean(
-                [model.represent(v.context_x, v.context_y).r.data
+                [represent(model, v.context_x, v.context_y).r.data
                  for v in views], axis=0))
         assert enc.reps.tobytes() == np.asarray(want).tobytes()
 
@@ -304,8 +304,8 @@ class TestExtract:
         np.testing.assert_array_equal(got.labels, want.labels)
 
         view = sample_views(segs[0], 1, 0.25, 0.75, (5, 10), rng)[0]
-        assert model.represent(view.context_x, view.context_y).r._parents
-        rep = loaded.represent(view.context_x, view.context_y).r
+        assert represent(model, view.context_x, view.context_y).r._parents
+        rep = represent(loaded, view.context_x, view.context_y).r
         assert rep._parents == () and not rep.requires_grad
         assert not any(p.requires_grad for p in loaded.params.values())
 

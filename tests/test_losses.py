@@ -4,11 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from contrnp import autodiff as ad
 from contrnp.autodiff import DomainError, ShapeMismatchError, Tensor
-from contrnp.losses import (ContrastiveConfig, combined_loss,
-                            contrastive_loss, gaussian_nll)
-from contrnp.model import GaussianPrediction, Representation
+from contrnp.losses import ContrastiveConfig, combined_loss, contrastive_loss
+from contrnp.model import ConvCnpModel, ModelConfig, Representation
 
-from conftest import check_grads
+from conftest import check_grads, gaussian_nll, leaf
 
 
 def brute_force_contrastive(vectors, tau):
@@ -140,47 +139,46 @@ def test_per_term_bounds_property(k, m, tau, seed):
 
 
 class TestGaussianNll:
+    """The op-by-op oracle of the decode-and-score node."""
+
     def pred(self, mu, sigma):
-        return GaussianPrediction(Tensor(np.asarray(mu, dtype=float)),
-                                  Tensor(np.asarray(sigma, dtype=float)))
+        return (Tensor(np.asarray(mu, dtype=float)),
+                Tensor(np.asarray(sigma, dtype=float)))
 
     def test_perfect_prediction_unit_sigma(self):
         p = self.pred([[0.0], [1.0]], [[1.0], [1.0]])
-        out = gaussian_nll(p, [[0.0], [1.0]])
+        out = gaussian_nll(*p, [[0.0], [1.0]])
         assert out.item() == pytest.approx(0.5 * np.log(2 * np.pi))
 
     def test_unit_error_unit_sigma(self):
         p = self.pred([[1.0]], [[1.0]])
-        assert gaussian_nll(p, [[0.0]]).item() == pytest.approx(
+        assert gaussian_nll(*p, [[0.0]]).item() == pytest.approx(
             0.5 * np.log(2 * np.pi) + 0.5)
 
     def test_nll_decreases_as_sigma_grows_toward_error(self):
         sigmas = [0.2, 0.4, 0.6, 0.8, 1.0]
-        vals = [gaussian_nll(self.pred([[0.0]], [[s]]), [[1.0]]).item()
+        vals = [gaussian_nll(*self.pred([[0.0]], [[s]]), [[1.0]]).item()
                 for s in sigmas]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_minimized_at_mu_equals_y(self):
         for delta in (-0.5, 0.5):
             mu = Tensor(np.array([[1.0 + delta]]), requires_grad=True)
-            p = GaussianPrediction(mu, Tensor(np.array([[1.0]])))
             mu.zero_grad()
-            gaussian_nll(p, [[1.0]]).backward()
+            gaussian_nll(mu, Tensor(np.array([[1.0]])), [[1.0]]).backward()
             assert np.sign(mu.grad[0, 0]) == np.sign(delta)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            gaussian_nll(self.pred([[0.0]], [[1.0]]), [[0.0], [1.0]])
 
 
 class TestCombinedLoss:
     def parts(self, rng, k=2, m=2, n=6):
-        preds, targets = [], []
-        for _ in range(k * m):
-            preds.append(GaussianPrediction(
-                Tensor(rng.standard_normal((n, 1))),
-                Tensor(np.abs(rng.standard_normal((n, 1))) + 0.5)))
-            targets.append(rng.standard_normal((n, 1)))
+        """k x m predictions decoded from random grid features on one
+        target set, targets and representations."""
+        model = ConvCnpModel(ModelConfig(grid_size=8, cnn_depth=1,
+                                         cnn_width=3, d_r=2, decoder_hidden=3,
+                                         cnn_kernel=3), rng)
+        tx = np.linspace(0.0, 1.0, n)
+        preds = [model.decode(leaf(rng, 8, 3), tx) for _ in range(k * m)]
+        targets = [rng.standard_normal((n, 1)) for _ in range(k * m)]
         reps = rep_tensors(random_vectors(rng, k, m))
         return preds, targets, reps
 
@@ -199,5 +197,13 @@ class TestCombinedLoss:
     def test_nll_is_mean_over_views(self, rng):
         preds, targets, reps = self.parts(rng)
         bd = combined_loss(preds, targets, reps, 0.01, ContrastiveConfig())
-        per_view = [gaussian_nll(p, t).item() for p, t in zip(preds, targets)]
+        per_view = [gaussian_nll(*map(Tensor, p.mu_sigma()), t).item()
+                    for p, t in zip(preds, targets)]
         assert bd.nll.item() == pytest.approx(np.mean(per_view))
+
+    def test_target_shape_mismatch(self, rng):
+        preds, targets, reps = self.parts(rng)
+        targets[1] = targets[1][:-1]
+        with pytest.raises(ShapeMismatchError, match=r"targets \(5, 1\) vs "
+                           r"prediction \(6, 1\)"):
+            combined_loss(preds, targets, reps, 0.01, ContrastiveConfig())

@@ -6,15 +6,15 @@ from contrnp.autodiff import Tensor
 from contrnp.data import Segment, sample_views
 from contrnp.evaluate import extract
 from contrnp import losses
-from contrnp.losses import ContrastiveConfig, combined_loss, gaussian_nll
+from contrnp.losses import ContrastiveConfig, combined_loss
 from contrnp.train import Adam
 from contrnp.model import (DECODER_PARAMS, DENSITY_EPS, CheckpointError,
-                           ConvCnpModel, GaussianPrediction, ModelConfig,
-                           Representation, SIGMA_MIN, load_checkpoint,
-                           save_checkpoint)
+                           ConvCnpModel, ModelConfig, Representation,
+                           SIGMA_MIN, load_checkpoint, save_checkpoint)
 
 from conftest import (check_grads, composed_rbf, composed_set_conv, conv1d,
-                      flip_byte_in, leaf, relu, translate_check)
+                      flip_byte_in, gaussian_nll, leaf, relu, represent,
+                      translate_check)
 
 
 SMALL = ModelConfig(grid_size=32, cnn_depth=2, cnn_width=8, d_r=6,
@@ -29,6 +29,18 @@ def model(rng):
 def sine_context(rng, n=25, lo=0.25, hi=0.75):
     x = np.sort(rng.uniform(lo, hi, n))
     return x, np.sin(2 * np.pi * 3 * x)[:, None]
+
+
+def fixed_targets(tx, n_channels=1):
+    """Random targets at tx, the same for every call on targets of one
+    length."""
+    return np.random.default_rng(1).standard_normal((len(tx), n_channels))
+
+
+def nll(pred, target_y):
+    """One prediction decoded and scored on its own by the library's
+    decode-and-score loss, as a scalar."""
+    return ad.sum_axis(losses._view_nlls([pred], [target_y]))
 
 
 class TestEmbedContext:
@@ -70,19 +82,19 @@ class TestEncode:
     def test_representation_dimension(self, rng):
         x, y = sine_context(rng)
         model = ConvCnpModel(ModelConfig(d_r=128), rng)
-        assert model.represent(x, y).r.shape == (128,)
+        assert represent(model, x, y).r.shape == (128,)
 
     def test_permutation_invariance(self, model, rng):
         x, y = sine_context(rng)
         perm = rng.permutation(len(x))
-        r1 = model.represent(x, y).r.data
-        r2 = model.represent(x[perm], y[perm]).r.data
+        r1 = represent(model, x, y).r.data
+        r2 = represent(model, x[perm], y[perm]).r.data
         assert np.abs(r1 - r2).max() < 1e-9
 
     def test_deterministic_repeat(self, model, rng):
         x, y = sine_context(rng)
-        np.testing.assert_array_equal(model.represent(x, y).r.data,
-                                      model.represent(x, y).r.data)
+        np.testing.assert_array_equal(represent(model, x, y).r.data,
+                                      represent(model, x, y).r.data)
 
 
 class TestDecode:
@@ -92,7 +104,7 @@ class TestDecode:
             p.data = p.data + rng.standard_normal(p.shape) * 5.0
         x, y = sine_context(rng)
         pred = model.predict(x, y, np.linspace(0, 1, 40))
-        assert np.all(pred.sigma.data >= SIGMA_MIN)
+        assert np.all(pred.mu_sigma()[1] >= SIGMA_MIN)
 
     def test_small_output_lengthscale_recovers_grid_feature(self, rng):
         model = ConvCnpModel(SMALL, rng)
@@ -109,6 +121,15 @@ class TestDecode:
         smoothed = (q / q.sum()) @ gf.data
         np.testing.assert_allclose(smoothed[0], gf.data[12], atol=1e-10)
 
+    def test_reading_a_prediction_records_no_tape(self, model, rng):
+        pred = model.predict(*sine_context(rng), np.linspace(0, 1, 40))
+        assert pred.grid_features.requires_grad
+        before = next(Tensor._created)
+        mu, sigma = pred.mu_sigma()
+        assert next(Tensor._created) == before + 1
+        assert type(mu) is np.ndarray and type(sigma) is np.ndarray
+        assert mu.shape == sigma.shape == (40, 1)
+
     def test_off_grid_target_rejected(self, model, rng):
         x, y = sine_context(rng)
         gf, _ = model.encode(model.embed_context(x, y))
@@ -121,15 +142,16 @@ class TestTranslationEquivariance:
         x, y = sine_context(rng)
         pred, shifted = translate_check(model, x, y,
                                         np.linspace(0.2, 0.8, 30), 0)
-        np.testing.assert_array_equal(pred.mu.data, shifted.mu.data)
+        np.testing.assert_array_equal(pred.mu_sigma()[0],
+                                      shifted.mu_sigma()[0])
 
     @pytest.mark.parametrize("delta", [-3, 3, 5])
     def test_grid_aligned_shift(self, model, rng, delta):
         x, y = sine_context(rng, lo=0.35, hi=0.65)
         tx = np.linspace(0.3, 0.7, 25)
         pred, shifted = translate_check(model, x, y, tx, delta)
-        assert np.abs(pred.mu.data - shifted.mu.data).max() < 1e-6
-        assert np.abs(pred.sigma.data - shifted.sigma.data).max() < 1e-6
+        for got, want in zip(pred.mu_sigma(), shifted.mu_sigma()):
+            assert np.abs(got - want).max() < 1e-6
 
     def test_off_grid_shift_rejected(self, model, rng):
         x, y = sine_context(rng)
@@ -144,13 +166,11 @@ class TestGradients:
                                          cnn_kernel=3), rng)
         x, y = sine_context(rng, n=5)
         tx = np.linspace(0, 1, 7)
+        ty = fixed_targets(tx)
 
         def build():
-            from contrnp import autodiff as ad
-            pred = model.predict(x, y, tx)
-            _, rep = model.encode(model.embed_context(x, y))
-            return (ad.mean_axis(pred.mu * pred.mu)
-                    + ad.mean_axis(ad.log(pred.sigma))
+            grid_features, rep = model.encode(model.embed_context(x, y))
+            return (nll(model.decode(grid_features, tx), ty)
                     + ad.mean_axis(rep.r * rep.r))
 
         check_grads(build, list(model.params.values()), tol=1e-4)
@@ -180,8 +200,9 @@ def composed_encode(model, channels):
 
 
 def composed_decode(model, grid_features, target_x):
-    """The decoder op by op: exp/sum/divide smoother, the smoothed features
-    times dec_w1, bias add and relu, and one product per head."""
+    """mu and sigma of the decoder op by op: exp/sum/divide smoother, the
+    smoothed features times dec_w1, bias add and relu, and one product per
+    head."""
     p = model.params
     ell = ad.softplus(p["raw_len_out"])
     qn = composed_rbf((target_x[:, None] - model.grid_x[None, :]) ** 2, ell,
@@ -190,7 +211,7 @@ def composed_decode(model, grid_features, target_x):
     hdn = relu(smoothed @ p["dec_w1"] + p["dec_b1"])
     mu = hdn @ p["dec_mu_w"] + p["dec_mu_b"]
     pre_sigma = hdn @ p["dec_sig_w"] + p["dec_sig_b"]
-    return GaussianPrediction(mu, ad.softplus(pre_sigma) + SIGMA_MIN)
+    return mu, ad.softplus(pre_sigma) + SIGMA_MIN
 
 
 def max_rel_err(got, want):
@@ -211,14 +232,26 @@ class TestComposedOracle:
     losses and gradients."""
 
     @staticmethod
-    def run(model, embed, encode, decode, x, y, tx, ty):
+    def composed_scored(model, grid_features, tx, ty):
+        mu, sigma = composed_decode(model, grid_features, tx)
+        return (mu.data, sigma.data), gaussian_nll(mu, sigma, ty)
+
+    @staticmethod
+    def scored(model, grid_features, tx, ty):
+        pred = model.decode(grid_features, tx)
+        return pred.mu_sigma(), nll(pred, ty)
+
+    @staticmethod
+    def run(model, embed, encode, score, x, y, tx, ty):
+        """mu, sigma, the NLL and the gradients of NLL + mean(r^2)."""
         grid_features, rep = encode(model, embed(model, x, y))
-        pred = decode(model, grid_features, tx)
-        loss = gaussian_nll(pred, ty) + ad.mean_axis(rep.r * rep.r)
+        mu_sigma, loss = score(model, grid_features, tx, ty)
+        loss = loss + ad.mean_axis(rep.r * rep.r)
         for p in model.params.values():
             p.zero_grad()
         loss.backward()
-        return pred, {k: p.grad.copy() for k, p in model.params.items()}
+        return (*mu_sigma, loss.data,
+                {k: p.grad.copy() for k, p in model.params.items()})
 
     @pytest.mark.parametrize("n_channels", [1, 3])
     def test_matches_op_by_op_model(self, rng, n_channels):
@@ -230,14 +263,13 @@ class TestComposedOracle:
         y = rng.standard_normal((20, n_channels))
         tx = np.sort(rng.uniform(0.0, 1.0, 200))
         ty = rng.standard_normal((200, n_channels))
-        want_pred, want_grads = self.run(
-            model, composed_embed_context, composed_encode, composed_decode,
-            x, y, tx, ty)
-        pred, grads = self.run(
+        *want, want_grads = self.run(
+            model, composed_embed_context, composed_encode,
+            self.composed_scored, x, y, tx, ty)
+        *got, grads = self.run(
             model, ConvCnpModel.embed_context, ConvCnpModel.encode,
-            ConvCnpModel.decode, x, y, tx, ty)
-        pairs = [("mu", pred.mu.data, want_pred.mu.data),
-                 ("sigma", pred.sigma.data, want_pred.sigma.data),
+            self.scored, x, y, tx, ty)
+        pairs = [*zip(["mu", "sigma", "loss"], got, want),
                  *((k, grads[k], want_grads[k]) for k in model.params)]
         for name, got, want in pairs:
             err = max_rel_err(got, want)
@@ -267,15 +299,15 @@ class TestComposedOracle:
         qn = model._smoother(tx)
         nll = ad.decode_nll(qn, grids, ys, decoder_weights(model), SIGMA_MIN)
         got_grads = grads_of(ad.sum_axis(nll * weights))
-        mu, sigma, _ = ad._decoder(qn, grids, decoder_weights(model),
-                                   SIGMA_MIN)
+        mu, sigma, _ = ad._decoder(qn, np.stack([f.data for f in grids]),
+                                   decoder_weights(model), SIGMA_MIN)
         preds = [composed_decode(model, f, tx) for f in grids]
-        want_nll = ad.concat([gaussian_nll(p, y).reshape(1)
+        want_nll = ad.concat([gaussian_nll(*p, y).reshape(1)
                               for p, y in zip(preds, ys)])
         want_grads = grads_of(ad.sum_axis(want_nll * weights))
         pairs = [("nll", nll.data, want_nll.data),
-                 *((f"mu{v}", mu[v], p.mu.data) for v, p in enumerate(preds)),
-                 *((f"sigma{v}", sigma[v], p.sigma.data)
+                 *((f"mu{v}", mu[v], p[0].data) for v, p in enumerate(preds)),
+                 *((f"sigma{v}", sigma[v], p[1].data)
                    for v, p in enumerate(preds)),
                  *((f"grad {i}", g, w)
                    for i, (g, w) in enumerate(zip(got_grads, want_grads)))]
@@ -337,13 +369,15 @@ def twin(config, model=None):
 
 
 def lengthscale_grad(model, x, y, tx):
-    """mu of one prediction and the gradient of sum(mu) that reaches the
-    model's raw_len_out."""
+    """mu, sigma and the NLL on fixed targets of one prediction, and the
+    gradient of that NLL that reaches the model's raw_len_out."""
     pred = model.predict(x, y, tx)
     for p in model.params.values():
         p.zero_grad()
-    ad.sum_axis(pred.mu).backward()
-    return pred.mu.data, float(model.params["raw_len_out"].grad)
+    loss = nll(pred, fixed_targets(tx))
+    loss.backward()
+    return (*pred.mu_sigma(), loss.data,
+            float(model.params["raw_len_out"].grad))
 
 
 def set_lengthscale_in_place(model, x, y, tx):
@@ -353,8 +387,7 @@ def set_lengthscale_in_place(model, x, y, tx):
 def adam_step(model, x, y, tx):
     opt = Adam(model.params, lr=0.05)
     opt.zero_grad()
-    pred = model.predict(x, y, tx)
-    ad.mean_axis(pred.mu * pred.mu).backward()
+    nll(model.predict(x, y, tx), fixed_targets(tx)).backward()
     opt.step()
 
 
@@ -399,7 +432,7 @@ class TestSharedSmoother:
 
     @staticmethod
     def forward(model, views):
-        """Pending predictions and representations of `views`."""
+        """Predictions and representations of `views`."""
         preds, reps = [], []
         for x, y, tx, _ in views:
             grid_features, rep = model.encode(model.embed_context(x, y))
@@ -415,8 +448,8 @@ class TestSharedSmoother:
 
     @classmethod
     def scored(cls, model, views, grouped):
-        """Per-view NLLs and a loss over the views: `gaussian_nll` of each
-        prediction (built as a group of one) or, grouped, one
+        """Per-view NLLs and a loss over the views: each prediction scored
+        by a decode-and-score node of its own or, grouped, one
         `combined_loss` call."""
         preds, reps = cls.forward(model, views)
         targets = [ty for *_, ty in views]
@@ -426,7 +459,7 @@ class TestSharedSmoother:
                                       1.0, ContrastiveConfig())
             total = breakdown.nll * float(len(views))
         else:
-            per_view = [gaussian_nll(p, ty) for p, ty in zip(preds, targets)]
+            per_view = [nll(p, ty) for p, ty in zip(preds, targets)]
             nlls = np.array([t.item() for t in per_view])
             total = per_view[0]
             for t in per_view[1:]:
@@ -447,36 +480,35 @@ class TestSharedSmoother:
             for i, (view, pred) in enumerate(zip(views, preds)):
                 alone = twin(config)
                 (want,), rep = self.forward(alone, [view])
-                composed = composed_decode(
-                    alone, want.pending.grid_features, view[2])
-                want_nll = gaussian_nll(composed, view[3])
+                want_nll = gaussian_nll(
+                    *composed_decode(alone, want.grid_features, view[2]),
+                    view[3])
                 self.plus_rep_terms(want_nll, rep).backward()
                 for k, p in alone.params.items():
                     want_grads[k] = want_grads[k] + p.grad
                 assert nlls[i] == pytest.approx(want_nll.item(), rel=1e-12,
                                                 abs=0)
-                np.testing.assert_array_equal(pred.mu.data, want.mu.data)
-                np.testing.assert_array_equal(pred.sigma.data,
-                                              want.sigma.data)
+                for got, alone_value in zip(pred.mu_sigma(),
+                                            want.mu_sigma()):
+                    np.testing.assert_array_equal(got, alone_value)
             for k, p in model.params.items():
                 err = max_rel_err(p.grad, want_grads[k])
                 assert err <= 1e-12, \
                     f"{k}, grouped {grouped}: relative error {err:.3g}"
 
     def test_stack_prediction_matches_per_view_decode(self, rng):
-        # mu and sigma of a stack pending on one target set, built on read,
-        # against each view decoded alone
+        # mu and sigma of a stack on one target set, as read, against each
+        # view decoded alone
         model = twin(SMALL)
         tx = np.linspace(0.0, 1.0, 50)
         views = [model.embed_context(*sine_context(rng)) for _ in range(3)]
         grid_features, _ = model.encode(ad.stack(views))
         stacked = model.decode(grid_features, tx)
         alone = [model.decode(model.encode(v)[0], tx) for v in views]
-        assert stacked.mu.shape == (3, 50, 1)
-        for got, want in [(stacked.mu, [p.mu for p in alone]),
-                          (stacked.sigma, [p.sigma for p in alone])]:
+        assert stacked.mu_sigma()[0].shape == (3, 50, 1)
+        for i, got in enumerate(stacked.mu_sigma()):
             np.testing.assert_allclose(
-                got.data, np.stack([w.data for w in want]), rtol=1e-12,
+                got, np.stack([p.mu_sigma()[i] for p in alone]), rtol=1e-12,
                 atol=0)
 
     def test_equal_targets_share_one_node(self, model):
@@ -489,12 +521,13 @@ class TestSharedSmoother:
                                          cnn_kernel=3), rng)
         (x1, y1), (x2, y2) = sine_context(rng, n=5), sine_context(rng, n=6)
         tx = np.linspace(0, 1, 7)
+        ty = fixed_targets(tx)
 
         def build():
+            # two predictions on one smoother, each scored by its own node
             a = model.predict(x1, y1, tx)
             b = model.predict(x2, y2, tx)
-            return (ad.mean_axis(a.mu * b.mu)
-                    + ad.mean_axis(ad.log(a.sigma) * b.sigma))
+            return nll(a, ty) + nll(b, ty[::-1]) * 0.5
 
         check_grads(build, [model.params["raw_len_out"]], tol=1e-6)
 
@@ -508,8 +541,8 @@ class TestSharedSmoother:
         change(model, x, y, tx)
         fresh = twin(SMALL, model)
         got, want = (lengthscale_grad(m, x, y, tx) for m in (model, fresh))
-        np.testing.assert_array_equal(got[0], want[0])
-        assert got[1] == want[1]
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 def reachable_nodes(*roots) -> int:

@@ -236,8 +236,8 @@ class TestBatchedTrainStep:
         views = [v for row in batch.views for v in row]
         grid_features, _ = model.encode_views(views)
         preds = model.decode_views(grid_features, [v.target_x for v in views])
-        assert [p.pending.grid_features.shape[0] for p in preds] == [2, 2]
-        assert preds[0].pending.smoother is not preds[1].pending.smoother
+        assert [p.grid_features.shape[0] for p in preds] == [2, 2]
+        assert preds[0].smoother is not preds[1].smoother
 
 
 class TestLengthscaleColumns:
