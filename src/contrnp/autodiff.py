@@ -516,12 +516,6 @@ def conv_block(h: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
-def _as_stack(grids) -> Tensor:
-    """The views' grid features as one [V, G, H] Tensor, given as one or as
-    a list of V [G, H] Tensors."""
-    return grids if isinstance(grids, Tensor) else stack(grids)
-
-
 def _decoder(qn: Tensor, F3: np.ndarray, weights, sigma_min: float):
     """The ConvCNP decoder of V views that share one smoother qn[T, G]: each
     view's grid features F_v[G, H] (F3[v] of an array [V, G, H]) smoothed
@@ -588,16 +582,16 @@ def _decoder(qn: Tensor, F3: np.ndarray, weights, sigma_min: float):
     return mu, sigma, backward
 
 
-def decode_nll(qn: Tensor, grids, ys, weights, sigma_min: float) -> Tensor:
+def decode_nll(qn: Tensor, grids: Tensor, ys, weights,
+               sigma_min: float) -> Tensor:
     """The mean Gaussian negative log likelihood [V] of each view's targets
     ys[v][T, C] under its prediction by `_decoder` from its grid features
-    (a [V, G, H] Tensor, or a list of V [G, H] Tensors, which it stacks),
-    as one node: per view, the mean over targets and channels of
-    log sigma + log(2 pi) / 2 + (mu - y)^2 / (2 sigma^2).
+    grids[v] (grids is [V, G, H]), as one node: per view, the mean over
+    targets and channels of log sigma + log(2 pi) / 2 + (mu - y)^2 /
+    (2 sigma^2).
 
     Its backward maps the V adjoints to mu's and sigma's and runs the
     decoder's backward once for all views."""
-    grids = _as_stack(grids)
     mu, sigma, decoder_backward = _decoder(qn, grids.data, weights, sigma_min)
     diff = mu - np.stack(ys)
     var = sigma * sigma

@@ -274,7 +274,9 @@ def cmd_forecast(args):
     pred = model.predict(view.context_x, view.context_y, view.target_x)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    mu, sigma = pred.mu_sigma()
+    # overflow and NaN are caught by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, sigma = pred.mu_sigma()
     if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
         raise NumericError(
             f"segment {args.segment_id}: non-finite prediction")

@@ -9,7 +9,6 @@ inside the log (no exponentiation, sum reduction) for ablations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,17 +38,12 @@ class LossBreakdown:
     grad_norm: float | None = None  # set by train_step: the norm before clipping
 
 
-def contrastive_loss(reps, cfg: ContrastiveConfig) -> Tensor:
-    """Contrastive loss over the representations of K >= 2 segments x M >= 2
-    views (as TrainConfig's k_per_batch and m guarantee): a [K][M] list of
-    Representations, or one Representation whose r stacks them [K, M, d_r]."""
-    if isinstance(reps, Representation):
-        k_n, m_n, d = reps.r.shape
-        r = reps.r.reshape(k_n * m_n, d)                           # [n, d]
-    else:
-        k_n, m_n = len(reps), len(reps[0])
-        r = ad.concat([rep.r.reshape(1, rep.r.size)
-                       for row in reps for rep in row], axis=0)
+def contrastive_loss(reps: Representation, cfg: ContrastiveConfig) -> Tensor:
+    """Contrastive loss over the representations r [K, M, d_r] of K >= 2
+    segments x M >= 2 views (as TrainConfig's k_per_batch and m
+    guarantee)."""
+    k_n, m_n, d = reps.r.shape
+    r = reps.r.reshape(k_n * m_n, d)                               # [n, d]
     zero = np.flatnonzero(np.linalg.norm(r.data, axis=1) == 0.0)
     if zero.size:
         k, m = divmod(int(zero[0]), m_n)
@@ -89,46 +83,58 @@ def _target_array(target_y, shape) -> np.ndarray:
     return y
 
 
-def _decode_group(pred: GaussianPrediction) -> tuple:
-    """What the views decoded by one node share: the smoother and the decoder
-    weights, and the stack itself for a stack of views."""
-    stack = (id(pred.grid_features),) if pred.grid_features.ndim == 3 else ()
-    return (id(pred.smoother), *map(id, pred.weights), *stack)
+def _stacked(preds: list[GaussianPrediction], reps):
+    """`combined_loss`'s inputs with their per-view forms stacked, the one
+    place that reads those forms: a [K][M] list of Representations [d_r]
+    becomes one Representation [K, M, d_r], and each run of adjacent
+    one-view predictions [G, H] with the same decoder weights and smoothers
+    of equal values becomes one prediction on the run's stacked grid
+    features and its first smoother. Those are the runs
+    `ConvCnpModel.decode_views` forms; stacks pass through."""
+    if not isinstance(reps, Representation):
+        reps = Representation(ad.stack([rep.r for row in reps for rep in row])
+                              .reshape(len(reps), len(reps[0]), -1))
+    runs = []
+    for pred in preds:
+        last = runs[-1][-1] if runs else None
+        if (last is not None
+                and pred.grid_features.ndim == last.grid_features.ndim == 2
+                and pred.weights == last.weights      # Tensors: by identity
+                and np.array_equal(pred.smoother.data, last.smoother.data)):
+            runs[-1].append(pred)
+        else:
+            runs.append([pred])
+    stacks = [run[0] if run[0].grid_features.ndim == 3 else run[0]._replace(
+                  grid_features=ad.stack([p.grid_features for p in run]))
+              for run in runs]
+    return stacks, reps
 
 
 def _view_nlls(preds: list[GaussianPrediction], targets: list) -> Tensor:
-    """The Gaussian NLL of each view [n_views], in view order, where
-    `targets` holds one entry per view and a prediction on a stack of V
-    views covers V of them. A stack, as `train_step` decodes each target
-    set, and each run of adjacent single-view predictions on one smoother
-    are decoded and scored by one `autodiff.decode_nll` node.
-    (`ConvCnpModel._smoother` keeps only the last target set, so in decode
-    order the views on one smoother node are adjacent.)"""
+    """The Gaussian NLL of each view [n_views], in view order, where each
+    prediction stacks V views on one target set and `targets` holds one
+    entry per view. Each prediction is decoded and scored by one
+    `autodiff.decode_nll` node."""
+    sizes = [pred.grid_features.shape[0] for pred in preds]
+    if sum(sizes) != len(targets):
+        raise ValueError(f"{len(targets)} targets for {sum(sizes)} predicted "
+                         "views")
     parts, at = [], 0
-    for _, run in itertools.groupby(preds, key=_decode_group):
-        run = list(run)
-        first = run[0]
-        if first.grid_features.ndim == 3:       # a stack: a group of its own
-            grids, n = first.grid_features, first.grid_features.shape[0]
-        else:
-            grids = [p.grid_features for p in run]
-            n = len(grids)
-        ys = targets[at:at + n]
+    for pred, n in zip(preds, sizes):
+        ys = [_target_array(y, pred.shape) for y in targets[at:at + n]]
         at += n
-        if len(ys) < n:
-            break
-        parts.append(ad.decode_nll(
-            first.smoother, grids,
-            [_target_array(y, first.shape) for y in ys], first.weights,
-            SIGMA_MIN))
-    if at != len(targets):
-        raise ValueError(f"{len(targets)} targets for the predicted views")
+        parts.append(ad.decode_nll(pred.smoother, pred.grid_features, ys,
+                                   pred.weights, SIGMA_MIN))
     return parts[0] if len(parts) == 1 else ad.concat(parts)
 
 
 def combined_loss(preds: list[GaussianPrediction], targets: list,
                   reps, lam: float, cfg: ContrastiveConfig) -> LossBreakdown:
-    """lambda * mean per-view NLL + contrastive term."""
+    """lambda * mean per-view NLL + contrastive term, over predictions that
+    each stack the views of one target set, one target per view in order,
+    and the representations [K, M, d_r]; per-view forms are stacked first
+    (see `_stacked`)."""
+    preds, reps = _stacked(preds, reps)
     nll = ad.mean_axis(_view_nlls(preds, targets))
     contr = contrastive_loss(reps, cfg)
     total = contr if lam == 0.0 else nll * lam + contr

@@ -90,8 +90,8 @@ class GaussianPrediction(NamedTuple):
     [V, n_target, C] of a stack of V views on one target set, as
     `ConvCnpModel.decode` leaves it: the grid features with the smoother
     onto the targets and the decoder weights, not decoded yet.
-    `losses.combined_loss` decodes and scores it in one
-    `autodiff.decode_nll` node; `mu_sigma` reads its values."""
+    `losses.combined_loss` decodes and scores a stack in one
+    `autodiff.decode_nll` node; `mu_sigma` reads the values of either."""
     smoother: Tensor         # [n_target, G], shared by views on one target set
     grid_features: Tensor    # [G, H], or [V, G, H] for a stack of V views
     weights: tuple           # the DECODER_PARAMS Tensors
@@ -151,8 +151,6 @@ class ConvCnpModel:
                                        c.decoder_hidden)
         p["dec_sig_b"] = _uniform_init(rng, (c.n_channels,), c.decoder_hidden)
         self.params = p
-        # (raw_len_out, its value and requires_grad, targets, smoother)
-        self._smoothed = None
 
     # -- forward pieces -----------------------------------------------------
 
@@ -225,28 +223,18 @@ class ConvCnpModel:
 
     def _smoother(self, target_x: np.ndarray) -> Tensor:
         """The row-normalised RBF smoother [T, G] from the grid onto the
-        targets. The last one is kept and reused while its inputs are
-        unchanged: the same raw_len_out Tensor, with an equal value and the
-        same requires_grad, and equal targets. The K*M views of a step on
-        one target set share one node, and `losses.combined_loss` decodes
-        and scores them in one `autodiff.decode_nll` node."""
-        raw = self.params["raw_len_out"]
-        key = (float(raw.data), raw.requires_grad)
-        memo = self._smoothed
-        if (memo is None or memo[0] is not raw or memo[1] != key
-                or not np.array_equal(memo[2], target_x)):
-            d2 = (target_x[:, None] - self.grid_x[None, :]) ** 2       # [T, G]
-            qn = ad.rbf(d2, ad.softplus(raw))
-            memo = self._smoothed = (raw, key, target_x.copy(), qn)
-        return memo[3]
+        targets."""
+        d2 = (target_x[:, None] - self.grid_x[None, :]) ** 2           # [T, G]
+        return ad.rbf(d2, ad.softplus(self.params["raw_len_out"]))
 
     def decode_views(self, grid_features: Tensor,
                      target_xs) -> list[GaussianPrediction]:
         """The predictions of the views stacked in grid_features [V, G, H]
         at their targets target_xs[v]: one per run of adjacent views with
-        equal targets, on that run's rows of the stack, so the runs are the
-        ones `_smoother` gives views decoded one by one. Segments cut from a
-        series with uneven timestamps have targets of their own."""
+        equal targets, on that run's rows of the stack, so the views of a
+        run share one smoother and one `autodiff.decode_nll` node. Segments
+        cut from a series with uneven timestamps have targets of their
+        own."""
         preds, start, n = [], 0, len(target_xs)
         for stop in range(1, n + 1):
             if stop < n and np.array_equal(target_xs[stop], target_xs[start]):
@@ -298,7 +286,7 @@ def load_checkpoint(path) -> tuple[ConvCnpModel, dict, int]:
     a payload that does not match its SHA-256, or bytes after the hash are
     a CheckpointError, and so is a config that does not parse as JSON or
     does not fit ModelConfig, a parameter that holds NaN or inf, and a
-    lengthscale whose square is 0, subnormal or inf.
+    lengthscale too short for the grid or whose square overflows.
     """
     buf = Path(path).read_bytes()
     pos = 0
@@ -354,11 +342,16 @@ def load_checkpoint(path) -> tuple[ConvCnpModel, dict, int]:
     missing = set(model.params) - set(raw)
     if missing:
         raise CheckpointError(f"{path}: missing parameters {sorted(missing)}")
+    # Below `shortest`, a point half a grid spacing h from its nearest node
+    # gets the RBF weight exp(-(h/2)^2 / 2 ell^2) < tiny, which the RBF ops
+    # set to 0, and so do all farther nodes: contexts embed to nothing and
+    # smoother rows sum to 0. From `longest` on, ell^2 overflows
+    floats = np.finfo(np.float64)
+    shortest = model.grid_spacing / 2 / math.sqrt(-2 * math.log(floats.tiny))
+    longest = math.sqrt(floats.max)
     for name, ell in zip(("raw_len_in", "raw_len_out"), model.lengthscales()):
-        # the RBF weights divide by ell^2: at 0 or inf numpy warns, and the
-        # weights are 0, NaN or all 1
-        if not np.finfo(np.float64).tiny <= ell * ell < math.inf:
+        if not shortest <= ell < longest:
             raise CheckpointError(
                 f"{path}: parameter '{name}' gives the lengthscale {ell!r}, "
-                "whose square is not a finite normal float")
+                f"outside [{shortest:.3g}, {longest:.3g})")
     return model, cfg, seed

@@ -19,8 +19,8 @@ from contrnp.data import Segment, make_batch, sample_views, synth_generate
 from contrnp.evaluate import (EncodedDataset, accuracy, davies_bouldin,
                               extract, holdout_split, silhouette, train_probe)
 from contrnp.losses import ContrastiveConfig, combined_loss, contrastive_loss
-from contrnp.model import (ConvCnpModel, ModelConfig, load_checkpoint,
-                           save_checkpoint)
+from contrnp.model import (ConvCnpModel, ModelConfig, Representation,
+                           load_checkpoint, save_checkpoint)
 from contrnp.train import TrainConfig, train
 
 from conftest import (conv1d, finite_diff_grads, rel_err, relu, represent,
@@ -296,17 +296,15 @@ def test_criterion_3_structural_invariants():
                       np.linspace(0, 1, 20))
         sigma_min = min(sigma_min, float(p.mu_sigma()[1].min()))
 
-    preds, targets, reps = [], [], []
-    for krow in range(2):
-        row = []
-        for _ in range(2):
-            vx = rng.uniform(0.3, 0.7, 6)
-            vy = rng.standard_normal((6, 1))
-            gf, rep = model.encode(model.embed_context(vx, vy))
-            preds.append(model.decode(gf, np.linspace(0, 1, 10)))
-            targets.append(rng.standard_normal((10, 1)))
-            row.append(rep)
-        reps.append(row)
+    preds, targets, rs = [], [], []
+    for _ in range(2 * 2):
+        vx = rng.uniform(0.3, 0.7, 6)
+        vy = rng.standard_normal((6, 1))
+        gf, rep = model.encode(model.embed_context(vx, vy))
+        preds.append(model.decode(gf, np.linspace(0, 1, 10)))
+        targets.append(rng.standard_normal((10, 1)))
+        rs.append(rep.r)
+    reps = Representation(ad.stack(rs).reshape(2, 2, -1))
     ccfg = ContrastiveConfig(tau=0.5)
     lam0_exact = (combined_loss(preds, targets, reps, 0.0, ccfg).total.item()
                   == contrastive_loss(reps, ccfg).item())

@@ -195,7 +195,8 @@ def decode_nll_op(qn, grid, w1):
     W1 [3, 2], with constant biases and heads over 2 channels."""
     weights = (w1, *(Tensor(np.full(shape, 0.5)) for shape in
                      [(2,), (2, 2), (2,), (2, 2), (2,)]))
-    return ad.decode_nll(qn, [grid], [np.ones((5, 2))], weights, 1e-4)
+    return ad.decode_nll(qn, ad.stack([grid]), [np.ones((5, 2))], weights,
+                         1e-4)
 
 
 class TestTapeRule:

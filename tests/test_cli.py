@@ -118,6 +118,21 @@ def read_csv(path):
         return list(csv.reader(f))
 
 
+def run_fresh(argv, **env):
+    """Exit code, stdout and stderr of the CLI on `argv` in a fresh
+    interpreter, with `env` added to the environment. numpy's
+    RuntimeWarnings go to the process's stderr, which pytest's capture
+    would hide, and OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy
+    loads it."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from contrnp.cli import main; sys.exit(main())",
+         *map(str, argv)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC), **env})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 class TestConfigFile:
     def test_unknown_key_cites_key_and_line(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -241,18 +256,15 @@ class TestTrain:
         # `autodiff._conv` reuses arrays per layer shape across calls and
         # steps, from np.empty: an entry it reads before writing would
         # differ between processes. Fresh interpreters, each with the same
-        # OpenBLAS thread count, which numpy reads when it loads OpenBLAS
+        # OpenBLAS thread count
         config.write_text(SMALL_CONFIG.replace("epochs = 2", "epochs = 3"))
-        env = {**os.environ, "PYTHONPATH": str(SRC),
-               "OPENBLAS_NUM_THREADS": "2"}
         ckpts = []
         for name in ("r1", "r2"):
             out = tmp_path / name
-            subprocess.run(
-                [sys.executable, "-c",
-                 "import sys; from contrnp.cli import main; sys.exit(main())",
-                 "train", "--config", str(config), "--data", str(dataset),
-                 "--out", str(out)], check=True, capture_output=True, env=env)
+            rc, _, err = run_fresh(["train", "--config", config, "--data",
+                                    dataset, "--out", out],
+                                   OPENBLAS_NUM_THREADS="2")
+            assert rc == 0, err
             ckpts.append((out / "model.ckpt").read_bytes())
         assert ckpts[0] == ckpts[1]
 
@@ -291,16 +303,11 @@ class TestEval:
                                        and threads >= 1)
 
     def test_manifest_records_the_blas_thread_setting(self, tmp_path):
-        # a fresh interpreter, since OpenBLAS reads OPENBLAS_NUM_THREADS
-        # once, when numpy loads it
         out = tmp_path / "d.csv"
-        env = {**os.environ, "PYTHONPATH": str(SRC),
-               "OPENBLAS_NUM_THREADS": "1"}
-        subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from contrnp.cli import main; sys.exit(main())",
-             "synth", "--classes", "2", "--segments", "2", "--window", "20",
-             "--out", str(out)], check=True, capture_output=True, env=env)
+        rc, _, err = run_fresh(["synth", "--classes", "2", "--segments", "2",
+                                "--window", "20", "--out", out],
+                               OPENBLAS_NUM_THREADS="1")
+        assert rc == 0, err
         manifest = json.loads((tmp_path / "manifest_synth.json").read_text())
         unreadable = _blas_threads() is None
         assert manifest["environment"]["blas_threads"] == (
@@ -458,20 +465,25 @@ class TestForecast:
             "value\n")
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_prediction_exits_3(self, tmp_path, dataset, trained,
                                            capsys):
-        # finite weights whose products overflow the decoder's mean
+        # finite weights whose products overflow the decoder's mean; it
+        # once also printed numpy's overflow RuntimeWarning, which only a
+        # fresh interpreter's stderr shows
         ckpt = tmp_path / "edited.ckpt"
         rewrite_param(trained / "model.ckpt", ckpt, "dec_mu_w",
                       lambda w: w.fill(1e308))
         capsys.readouterr()
         out = tmp_path / "fc.csv"
-        rc = main(["forecast", "--checkpoint", str(ckpt), "--data",
-                   str(dataset), "--n-context", "8", "--out", str(out)])
+        argv = ["forecast", "--checkpoint", ckpt, "--data", dataset,
+                "--n-context", "8", "--out", out]
+        rc = main([str(a) for a in argv])
         assert rc == 3
         assert capsys.readouterr().err == (
             "error: segment 0: non-finite prediction\n")
+        assert not out.exists()
+        rc, _, err = run_fresh(argv)
+        assert (rc, err) == (3, "error: segment 0: non-finite prediction\n")
         assert not out.exists()
 
     def test_segment_out_of_range(self, tmp_path, dataset, trained):
@@ -517,20 +529,13 @@ class TestNumericFailure:
 
     def test_overflow_is_one_error_line_on_stderr(self, tmp_path, dataset,
                                                   config):
-        # tau = 1e-3 overflows exp(sim / tau); numpy's RuntimeWarnings go to
-        # the process's stderr, which capsys and pytest's warning capture
-        # would hide, so the CLI runs in a fresh interpreter
+        # tau = 1e-3 overflows exp(sim / tau)
         config.write_text(SMALL_CONFIG + "tau = 1e-3\n")
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from contrnp.cli import main; sys.exit(main())",
-             "train", "--config", str(config), "--data", str(dataset),
-             "--out", str(tmp_path / "r")],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 3
-        assert proc.stderr == ("error: non-finite gradient norm nan before "
-                               "the update\n")
+        rc, _, err = run_fresh(["train", "--config", config, "--data",
+                                dataset, "--out", tmp_path / "r"])
+        assert rc == 3
+        assert err == ("error: non-finite gradient norm nan before the "
+                       "update\n")
 
 
 # Values per config key for the fuzz test: zero, negative, NaN, even
@@ -878,13 +883,15 @@ def test_fuzzed_parameter_ends_in_exit_code(fuzz_dir, fuzz_run, name, at,
         assert all(np.isfinite(float(c)) for c in cells)
 
 
-# A lengthscale softplus(raw) of 0 or one whose square overflows: each once
-# printed numpy RuntimeWarnings and then exited 0, exited 3, or ended in a
-# data error ("coincident centroids") that pointed at the CSV.
+# A lengthscale softplus(raw) of 0, one so short that every RBF weight on
+# the grid underflows (raw = -300: 5.1e-131), or one whose square
+# overflows: each once printed numpy RuntimeWarnings and then exited 0,
+# exited 3, or ended in a data error ("coincident centroids") that pointed
+# at the CSV.
 @pytest.mark.parametrize("command", ["eval", "forecast"])
 @pytest.mark.parametrize("name, value", [
     ("raw_len_in", -1e300), ("raw_len_in", 1e300), ("raw_len_out", -1e300),
-    ("raw_len_out", 1e300)])
+    ("raw_len_out", 1e300), ("raw_len_in", -300.0), ("raw_len_out", -300.0)])
 def test_degenerate_lengthscale_is_one_error_line(tmp_path, fuzz_dir,
                                                   fuzz_run, name, value,
                                                   command):
@@ -894,19 +901,14 @@ def test_degenerate_lengthscale_is_one_error_line(tmp_path, fuzz_dir,
     argv = command_argv(command, fuzz_dir, fuzz_run)
     argv[argv.index("--checkpoint") + 1] = ckpt
     argv[argv.index("--out") + 1] = tmp_path / "out"
-    # numpy's RuntimeWarnings go to the process's stderr, which pytest's
-    # capture would hide, so the CLI runs in a fresh interpreter
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from contrnp.cli import main; sys.exit(main())",
-         *map(str, argv)],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)})
-    ell = "0.0" if value < 0 else "1e+300"
-    assert proc.returncode == 2
-    assert proc.stderr == (
-        f"error: {ckpt}: parameter '{name}' gives the lengthscale {ell}, "
-        "whose square is not a finite normal float\n")
+    rc, _, err = run_fresh(argv)
+    ell = {-1e300: "0.0", -300.0: repr(float(np.log1p(np.exp(-300.0)))),
+           1e300: "1e+300"}[value]
+    # the lower bound is SMALL_CONFIG's half grid spacing, 0.6 / 15, over
+    # sqrt(-2 log tiny); the upper one is sqrt of the largest float
+    assert rc == 2
+    assert err == (f"error: {ckpt}: parameter '{name}' gives the lengthscale "
+                   f"{ell}, outside [0.00106, 1.34e+154)\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -36,7 +36,9 @@ def brute_force_contrastive(vectors, tau):
 
 
 def rep_tensors(vectors):
-    return [[Representation(Tensor(v)) for v in row] for row in vectors]
+    """The representations of K x M vectors, vectors[k][m], as one
+    Representation [K, M, d_r]."""
+    return Representation(Tensor(np.array(vectors, dtype=np.float64)))
 
 
 def random_vectors(rng, k, m, d=5):
@@ -118,12 +120,9 @@ class TestContrastiveLoss:
         assert out.item() == pytest.approx(expected, abs=1e-10)
 
     def test_gradients_pass_finite_differences(self, rng):
-        reps = [[Representation(Tensor(rng.standard_normal(4),
-                                       requires_grad=True))
-                 for _ in range(2)] for _ in range(3)]
-        flat = [rep.r for row in reps for rep in row]
+        reps = Representation(leaf(rng, 3, 2, 4))
         check_grads(lambda: contrastive_loss(reps, ContrastiveConfig(tau=0.5)),
-                    flat)
+                    [reps.r])
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,11 +3,10 @@ import pytest
 
 from contrnp import autodiff as ad
 from contrnp.autodiff import Tensor
-from contrnp.data import Segment, sample_views
+from contrnp.data import Segment, ViewPair, sample_views
 from contrnp.evaluate import extract
 from contrnp import losses
 from contrnp.losses import ContrastiveConfig, combined_loss
-from contrnp.train import Adam
 from contrnp.model import (DECODER_PARAMS, DENSITY_EPS, CheckpointError,
                            ConvCnpModel, ModelConfig, Representation,
                            SIGMA_MIN, load_checkpoint, save_checkpoint)
@@ -38,9 +37,10 @@ def fixed_targets(tx, n_channels=1):
 
 
 def nll(pred, target_y):
-    """One prediction decoded and scored on its own by the library's
-    decode-and-score loss, as a scalar."""
-    return ad.sum_axis(losses._view_nlls([pred], [target_y]))
+    """The NLL, as a scalar, of one view's prediction, scored on its own as
+    a stack of one view by the library's decode-and-score loss."""
+    one = pred._replace(grid_features=ad.stack([pred.grid_features]))
+    return ad.sum_axis(losses._view_nlls([one], [target_y]))
 
 
 class TestEmbedContext:
@@ -297,7 +297,8 @@ class TestComposedOracle:
             return [t.grad.copy() for t in leaves]
 
         qn = model._smoother(tx)
-        nll = ad.decode_nll(qn, grids, ys, decoder_weights(model), SIGMA_MIN)
+        nll = ad.decode_nll(qn, ad.stack(grids), ys, decoder_weights(model),
+                            SIGMA_MIN)
         got_grads = grads_of(ad.sum_axis(nll * weights))
         mu, sigma, _ = ad._decoder(qn, np.stack([f.data for f in grids]),
                                    decoder_weights(model), SIGMA_MIN)
@@ -326,15 +327,15 @@ class TestComposedOracle:
 
         def build():
             return ad.sum_axis(weights * ad.decode_nll(
-                model._smoother(tx), grids, ys, decoder_weights(model),
-                SIGMA_MIN))
+                model._smoother(tx), ad.stack(grids), ys,
+                decoder_weights(model), SIGMA_MIN))
 
         check_grads(build, [model.params["raw_len_out"],
                             *decoder_weights(model), *grids])
 
     def test_decoder_backward_runs_once(self, model, rng):
         tx = np.linspace(0.0, 1.0, 20)
-        nll = ad.decode_nll(model._smoother(tx), [leaf(rng, 32, 8)],
+        nll = ad.decode_nll(model._smoother(tx), ad.stack([leaf(rng, 32, 8)]),
                             [rng.standard_normal((20, 1))],
                             decoder_weights(model), SIGMA_MIN)
         ad.sum_axis(nll).backward()
@@ -359,65 +360,15 @@ class TestComposedOracle:
         np.testing.assert_array_equal(got.reps, np.asarray(want))
 
 
-def twin(config, model=None):
-    """A fresh model of `config` with an empty smoother memo: the
-    parameters of `model`, copied, or else the seed-5 initialisation."""
-    fresh = ConvCnpModel(config, np.random.default_rng(5))
-    for name, p in (model.params if model else {}).items():
-        fresh.params[name].data = p.data.copy()
-    return fresh
-
-
-def lengthscale_grad(model, x, y, tx):
-    """mu, sigma and the NLL on fixed targets of one prediction, and the
-    gradient of that NLL that reaches the model's raw_len_out."""
-    pred = model.predict(x, y, tx)
-    for p in model.params.values():
-        p.zero_grad()
-    loss = nll(pred, fixed_targets(tx))
-    loss.backward()
-    return (*pred.mu_sigma(), loss.data,
-            float(model.params["raw_len_out"].grad))
-
-
-def set_lengthscale_in_place(model, x, y, tx):
-    model.params["raw_len_out"].data[...] = -1.5
-
-
-def adam_step(model, x, y, tx):
-    opt = Adam(model.params, lr=0.05)
-    opt.zero_grad()
-    nll(model.predict(x, y, tx), fixed_targets(tx)).backward()
-    opt.step()
-
-
-def replace_lengthscale_tensor(model, x, y, tx):
-    # the same value: only the gradient shows which Tensor the smoother uses
-    old = model.params["raw_len_out"]
-    model.params["raw_len_out"] = Tensor(old.data.copy(), requires_grad=True)
-
-
-def shift_targets_in_place(model, x, y, tx):
-    tx -= 0.05
-
-
-def unfreeze_lengthscale(model, x, y, tx):
-    # a smoother made while raw_len_out is frozen passes it no gradient
-    raw = model.params["raw_len_out"]
-    raw.requires_grad = False
-    model.predict(x, y, tx[::2])
-    model.predict(x, y, tx)
-    raw.requires_grad = True
-
-
-STALE_MEMO_CHANGES = [set_lengthscale_in_place, adam_step,
-                      replace_lengthscale_tensor, shift_targets_in_place,
-                      unfreeze_lengthscale]
+def twin(config):
+    """A fresh model of `config` with the seed-5 initialisation."""
+    return ConvCnpModel(config, np.random.default_rng(5))
 
 
 class TestSharedSmoother:
-    """The views of a step share one smoother node while its inputs are
-    unchanged; sharing gives the per-view decode's values and gradients."""
+    """Views decoded on one target set share one smoother node and one
+    decode-and-score node; sharing gives the per-view decode's values and
+    gradients."""
 
     @staticmethod
     def views(rng, n_channels):
@@ -454,9 +405,11 @@ class TestSharedSmoother:
         preds, reps = cls.forward(model, views)
         targets = [ty for *_, ty in views]
         if grouped:
-            nlls = losses._view_nlls(preds, targets).data
-            breakdown = combined_loss(preds, targets, [reps[:2], reps[2:]],
-                                      1.0, ContrastiveConfig())
+            rows = [reps[:2], reps[2:]]
+            nlls = losses._view_nlls(losses._stacked(preds, rows)[0],
+                                     targets).data
+            breakdown = combined_loss(preds, targets, rows, 1.0,
+                                      ContrastiveConfig())
             total = breakdown.nll * float(len(views))
         else:
             per_view = [nll(p, ty) for p, ty in zip(preds, targets)]
@@ -511,9 +464,34 @@ class TestSharedSmoother:
                 got, np.stack([p.mu_sigma()[i] for p in alone]), rtol=1e-12,
                 atol=0)
 
-    def test_equal_targets_share_one_node(self, model):
-        tx = np.linspace(0.0, 1.0, 50)
-        assert model._smoother(tx) is model._smoother(tx.copy())
+    @pytest.mark.parametrize("n_channels", [1, 3])
+    def test_per_view_inputs_match_decode_views(self, rng, n_channels):
+        # views on targets A, A, B, A: per-view predictions and a [K][M]
+        # list of representations, which `combined_loss` stacks, give the
+        # losses and gradients of `encode_views` and `decode_views`
+        config = ModelConfig(**{**SMALL.__dict__, "n_channels": n_channels})
+        views = self.views(rng, n_channels)
+        results = []
+        for stacked in (False, True):
+            model = twin(config)
+            if stacked:
+                grid_features, rep = model.encode_views(
+                    [ViewPair(*view) for view in views])
+                preds = model.decode_views(grid_features,
+                                           [tx for _, _, tx, _ in views])
+                assert [p.grid_features.shape[0] for p in preds] == [2, 1, 1]
+                reps = Representation(rep.r.reshape(2, 2, -1))
+            else:
+                preds, reps = self.forward(model, views)
+                reps = [reps[:2], reps[2:]]
+            breakdown = combined_loss(preds, [ty for *_, ty in views], reps,
+                                      0.5, ContrastiveConfig())
+            breakdown.total.backward()
+            results.append((
+                [breakdown.nll.item(), breakdown.contrastive.item(),
+                 breakdown.total.item()],
+                {k: p.grad.tobytes() for k, p in model.params.items()}))
+        assert results[0] == results[1]
 
     def test_lengthscale_gradient_finite_differences(self, rng):
         model = ConvCnpModel(ModelConfig(grid_size=8, cnn_depth=2,
@@ -526,23 +504,10 @@ class TestSharedSmoother:
         def build():
             # two predictions on one smoother, each scored by its own node
             a = model.predict(x1, y1, tx)
-            b = model.predict(x2, y2, tx)
+            b = model.predict(x2, y2, tx)._replace(smoother=a.smoother)
             return nll(a, ty) + nll(b, ty[::-1]) * 0.5
 
         check_grads(build, [model.params["raw_len_out"]], tol=1e-6)
-
-    @pytest.mark.parametrize("change", STALE_MEMO_CHANGES,
-                             ids=lambda f: f.__name__)
-    def test_no_stale_smoother(self, rng, change):
-        model = twin(SMALL)
-        x, y = sine_context(rng)
-        tx = np.linspace(0.1, 0.9, 40)
-        model.predict(x, y, tx)
-        change(model, x, y, tx)
-        fresh = twin(SMALL, model)
-        got, want = (lengthscale_grad(m, x, y, tx) for m in (model, fresh))
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
 
 
 def reachable_nodes(*roots) -> int:
