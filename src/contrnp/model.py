@@ -343,9 +343,9 @@ def load_checkpoint(path) -> tuple[ConvCnpModel, dict, int]:
     if missing:
         raise CheckpointError(f"{path}: missing parameters {sorted(missing)}")
     # Below `shortest`, a point half a grid spacing h from its nearest node
-    # gets the RBF weight exp(-(h/2)^2 / 2 ell^2) < tiny, which the RBF ops
-    # set to 0, and so do all farther nodes: contexts embed to nothing and
-    # smoother rows sum to 0. From `longest` on, ell^2 overflows
+    # gets RBF weights below tiny on every node: exact for set_conv, which
+    # zeroes them, and conservative by about 2.5% for rbf, whose short rows
+    # keep subnormals until exp underflows. From `longest` on, ell^2 overflows
     floats = np.finfo(np.float64)
     shortest = model.grid_spacing / 2 / math.sqrt(-2 * math.log(floats.tiny))
     longest = math.sqrt(floats.max)
