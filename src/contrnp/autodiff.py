@@ -333,7 +333,7 @@ _TINY = np.finfo(np.float64).tiny
 _LOG_TINY = np.log(_TINY)
 
 
-def _gauss(d2: np.ndarray, ell: Tensor, floor=_LOG_TINY) -> np.ndarray:
+def _gauss(d2: np.ndarray, ell: np.ndarray, floor=_LOG_TINY) -> np.ndarray:
     """exp(-d2 / 2 ell^2) with every exponent below `floor` set to -inf
     first, so that, at the default log(tiny), entries exp would put below
     the smallest normal float come out as exact 0 and no subnormal is made.
@@ -343,7 +343,7 @@ def _gauss(d2: np.ndarray, ell: Tensor, floor=_LOG_TINY) -> np.ndarray:
     slower; numpy cannot set flush-to-zero, so the fix is in the data."""
     # in place: fresh temporaries cost more than the arithmetic
     e = d2 * -0.5
-    e /= ell.data * ell.data
+    e /= ell * ell
     e[e < floor] = -np.inf
     return np.exp(e, out=e)
 
@@ -355,13 +355,13 @@ def rbf(d2: np.ndarray, ell: Tensor) -> Tensor:
 
     One node in place of the exp/sum/div chain: its only gradient is the
     scalar ell's, G.(q (d2 - rowsum(q d2))) / ell^3."""
-    q = _gauss(d2, ell)
+    q = _gauss(d2, ell.data)
     rowsum = q.sum(axis=1, keepdims=True)
     short = rowsum[:, 0] < 1.0
     if short.any():
         # dividing by a sum below 1 can lift an entry exp put below tiny to
         # tiny or above: those rows keep every exp entry until the flush
-        q[short] = _gauss(d2[short], ell, -np.inf)
+        q[short] = _gauss(d2[short], ell.data, -np.inf)
         rowsum[short] = q[short].sum(axis=1, keepdims=True)
     q /= rowsum
     q[q < _TINY] = 0.0
@@ -374,54 +374,83 @@ def rbf(d2: np.ndarray, ell: Tensor) -> Tensor:
     return _make(q, (ell,), backward)
 
 
-def set_conv(d2: np.ndarray, y: np.ndarray, ell: Tensor,
-             eps: float) -> Tensor:
-    """RBF set convolution of constant values y[N, C] at squared distances
-    d2[G, N], with w = exp(-d2 / 2 ell^2) (entries below the smallest
-    normal float are 0): [G, 1 + C] channels, the density rowsum(w) first,
-    then the signal (w @ y) / (density + eps).
+def set_conv(d2: np.ndarray, ys, raw_ell: Tensor, eps: float) -> Tensor:
+    """RBF set convolution of V views onto one grid, as one node. View v
+    has constant values ys[v][N_v, C] at the squared distances of its
+    columns of d2[G, N_0 + ... + N_(V-1)], the views' columns in turn. With
+    the lengthscale ell = softplus(raw_ell) and w = exp(-d2 / 2 ell^2)
+    (entries below the smallest normal float are 0), view v gets [G, 1 + C]
+    channels of the [V, G, 1 + C] output: the density rowsum(w_v) first,
+    then the signal (w_v @ y_v) / (density + eps), on its own columns w_v.
 
-    One node in place of the rbf/sum/matmul/div/concat chain. Its only
-    gradient is the scalar ell's, (Gw . (w d2)) / ell^3, where the weights'
-    adjoint is Gw = G_den + (G_sig / (den + eps)) @ y^T
-    - rowsum(G_sig sig / (den + eps))."""
+    Its only gradient is raw_ell's: per view (Gw_v . (w_v d2_v)) / ell^3
+    times sigmoid(raw_ell), where Gw_v = G_den + (G_sig / (den + eps)) @
+    y_v^T - rowsum(G_sig sig / (den + eps)), added from the last view to
+    the first. That is the order in which the tape adds the adjoints of V
+    one-view nodes, each behind a softplus node of its own, into raw_ell,
+    so the gradient is bitwise theirs."""
+    ell, dell = _softplus(raw_ell.data)
+    ell = np.asarray(ell)  # as a softplus node holds it: ** 3 is numpy's loop
     w = _gauss(d2, ell)
-    den = w.sum(axis=1, keepdims=True)
-    den_eps = den + eps
-    out = np.empty((w.shape[0], 1 + y.shape[1]))
-    out[:, :1] = den
-    sig = out[:, 1:]
-    np.divide(w @ y, den_eps, out=sig)
+    cols = [slice(stop - len(y), stop)
+            for y, stop in zip(ys, np.cumsum([len(y) for y in ys]))]
+    out = np.empty((len(ys), len(d2), 1 + ys[0].shape[1]))
+    den_eps = np.empty((len(ys), len(d2), 1))
+    for v, (y, c) in enumerate(zip(ys, cols)):
+        den = w[:, c].sum(axis=1, keepdims=True)
+        out[v, :, :1] = den
+        np.add(den, eps, out=den_eps[v])
+        np.divide(w[:, c] @ y, den_eps[v], out=out[v, :, 1:])
 
     def backward(g):
-        gs = g[:, 1:] / den_eps
-        gw = gs @ y.T
-        gw += g[:, :1] - np.einsum("ij,ij->i", gs, sig)[:, None]
-        gw *= w
-        return (np.vdot(gw, d2) / ell.data ** 3,)
+        def term(v):
+            gs = g[v, :, 1:] / den_eps[v]
+            gw = gs @ ys[v].T
+            gw += g[v, :, :1] - np.einsum("ij,ij->i", gs,
+                                          out[v, :, 1:])[:, None]
+            gw *= w[:, cols[v]]
+            return np.vdot(gw, d2[:, cols[v]]) / ell ** 3 * dell
+        return (_sum_last_first(len(ys), term),)
 
-    return _make(out, (ell,), backward)
+    return _make(out, (raw_ell,), backward)
+
+
+_LINE = 64   # bytes in a cache line
+
+
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialised float64 array whose data starts on a cache line."""
+    n = int(np.prod(shape))
+    buf = np.empty(n + _LINE // 8)
+    start = -buf.ctypes.data % _LINE // 8
+    return buf[start:start + n].reshape(shape)
 
 
 @functools.lru_cache(maxsize=8)
 def _im2col_arrays(B: int, C: int, L: int, W: int):
     """The arrays `_conv` writes for inputs [B, C, L] and kernel width W:
-    the interior of a zero-padded input xp[B, C, L + W - 1], a window view
-    [C, W, B, L] of xp, the columns [C, W, B, L] with their [C*W, B*L]
-    view, and the backward's col2im buffer [B, C*W, L + W], which shares
-    the columns' memory: the backward is done with the columns before it
-    writes the buffer. One set per layer shape, which every call on that
-    shape reuses: fresh columns, up to 0.9 MB per call for eight WAVE
-    views, were trimmed by glibc between calls and faulted in again."""
+    a zero-padded input xp[B, C, L + W - 1], a window view [C, W, B, L] of
+    xp, the columns [C, W, B, L] with their [C*W, B*L] view, and the
+    backward's col2im buffer [B, C*W, L + W], which shares the columns'
+    memory: the backward is done with the columns before it writes the
+    buffer. One set per layer shape, which every call on that shape
+    reuses: fresh columns, up to 0.9 MB per call for eight WAVE views, were
+    trimmed by glibc between calls and faulted in again.
+
+    Each array starts on a cache line. At the per-view GEMM sizes OpenBLAS
+    runs its small-matrix kernel on the unpacked columns, whose speed
+    depends on where they start: the forward GEMM of an 8-view WAVE layer,
+    [32, 224] @ [8, 224, 64], took 162-166 us with the columns 16, 32 or
+    48 bytes past a line, against 104-105 us on one (2-core x86 host)."""
     pad = (W - 1) // 2
-    xp = np.zeros((B, C, L + 2 * pad))
+    xp = _aligned_empty((B, C, L + 2 * pad))
+    xp.fill(0.0)
     s0, s1, s2 = xp.strides
     # a direct view: much cheaper per call than as_strided
     windows = np.ndarray((C, W, B, L), xp.dtype, xp, 0, (s1, s2, s0, s2))
-    skew = np.empty((B, C * W, L + W))
+    skew = _aligned_empty((B, C * W, L + W))
     cols = skew.reshape(-1)[:C * W * B * L].reshape(C, W, B, L)
-    return (xp[:, :, pad:pad + L], windows, cols, cols.reshape(C * W, B * L),
-            skew)
+    return xp, windows, cols, cols.reshape(C * W, B * L), skew
 
 
 def _im2col(x: np.ndarray, W: int) -> np.ndarray:
@@ -429,8 +458,9 @@ def _im2col(x: np.ndarray, W: int) -> np.ndarray:
     side to xp: row c*W + w holds xp[b, c, w:w + L] for b = 0..B-1 in turn,
     matching kernel.reshape(C_out, C*W). They are overwritten by the next
     call on the same shape, so they must not outlive the caller's use."""
-    interior, windows, cols, columns, _ = _im2col_arrays(*x.shape, W)
-    interior[...] = x
+    xp, windows, cols, columns, _ = _im2col_arrays(*x.shape, W)
+    pad = (W - 1) // 2
+    xp[:, :, pad:pad + x.shape[2]] = x
     np.copyto(cols, windows)
     return columns
 
@@ -443,8 +473,10 @@ def _conv(x: Tensor, kernel: Tensor):
     product kernel[C_out, C*W] @ columns[B, C*W, L], the columns being a
     [B, C*W, L] view of `_im2col`'s [C*W, B*L]. numpy computes a stack one
     GEMM per matrix, on the shapes and operands of that batch entry alone,
-    so a batched forward is bitwise equal to B forwards of one (only the
-    columns' row stride differs, which OpenBLAS's packing absorbs).
+    so a batched forward is bitwise equal to B forwards of one: only the
+    columns' row stride differs, which leaves the sums as they are. It
+    does not leave the speed: at these sizes OpenBLAS reads the columns
+    unpacked, so `_im2col_arrays` starts them on a cache line.
     Returns the output array and the backward that maps its adjoint to
     (gx, gkernel); the backward rebuilds the columns from x rather than
     keeping them alive.
@@ -497,7 +529,9 @@ def conv_block(h: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     the input's adjoint for the residual."""
     out, conv_backward = _conv(h, kernel)
     out += bias.data[:, None]
-    mask = out > 0
+    # a frozen forward (extract) has no backward to mask
+    live = h.requires_grad or kernel.requires_grad or bias.requires_grad
+    mask = out > 0 if live else None
     np.maximum(out, 0.0, out=out)
     residual = out.shape == h.shape
     if residual:

@@ -111,24 +111,28 @@ def train_probe(encoded: EncodedDataset, label_fraction: float,
     xv, yv = (x[va_idx] - feat_mu) / feat_sd, y[va_idx]
 
     d, nc = x.shape[1], len(classes)
-    w, b = Tensor(np.zeros((d, nc))), Tensor(np.zeros(nc))
-    opt = Adam({"w": w, "b": b}, lr=PROBE_LR)
+    # rows 0..d-1 are the weights and row d the bias: one Adam update per
+    # step, elementwise the two updates of separate parameters
+    wb = Tensor(np.zeros((d + 1, nc)))
+    wb.grad = np.empty_like(wb.data)
+    opt = Adam({"wb": wb}, lr=PROBE_LR)
     onehot = np.eye(nc)[yt]
-    best = (-1.0, w.data.copy(), b.data.copy())
+    best = (-1.0, wb.data.copy())
     for t in range(1, PROBE_STEPS + 1):
-        z = xt @ w.data + b.data
+        z = xt @ wb.data[:d] + wb.data[d]
         z -= z.max(axis=1, keepdims=True)
         p = np.exp(z)
         p /= p.sum(axis=1, keepdims=True)
         g = (p - onehot) / len(yt)
-        w.grad = xt.T @ g
-        b.grad = g.sum(axis=0)
+        np.matmul(xt.T, g, out=wb.grad[:d])
+        np.sum(g, axis=0, out=wb.grad[d])
         opt.step()
         if t % 25 == 0 or t == PROBE_STEPS:
-            acc = float(np.mean(np.argmax(xv @ w.data + b.data, axis=1) == yv))
+            acc = float(np.mean(np.argmax(xv @ wb.data[:d] + wb.data[d],
+                                          axis=1) == yv))
             if acc > best[0]:
-                best = (acc, w.data.copy(), b.data.copy())
-    w, b = best[1], best[2]
+                best = (acc, wb.data.copy())
+    w, b = best[1][:d], best[1][d]
     w_raw = w / feat_sd[:, None]
     b_raw = b - feat_mu @ w_raw
     return ProbeModel(w_raw, b_raw, classes)

@@ -154,24 +154,29 @@ class ConvCnpModel:
 
     # -- forward pieces -----------------------------------------------------
 
-    def embed_context(self, context_x: np.ndarray,
-                      context_y: np.ndarray) -> Tensor:
-        """Normalized RBF set convolution of the context onto the grid:
-        [G, 1 + C] channels, density first, then the signal channels."""
-        context_x = np.asarray(context_x, dtype=np.float64)
-        context_y = np.asarray(context_y, dtype=np.float64)
-        if context_y.ndim == 1:
-            context_y = context_y[:, None]
-        if len(context_x) == 0:
+    def embed_views(self, context_xs, context_ys) -> Tensor:
+        """Normalized RBF set convolution of V views' contexts (x[N_v] and
+        y[N_v] or [N_v, C] each) onto the grid, as one `autodiff.set_conv`
+        node: [V, G, 1 + C] channels, density first, then the signal
+        channels."""
+        xs = [np.asarray(x, dtype=np.float64) for x in context_xs]
+        if any(len(x) == 0 for x in xs):
             raise ValueError("empty context set")
+        xs = np.concatenate(xs)
+        ys = [np.asarray(y, dtype=np.float64) for y in context_ys]
+        ys = [y[:, None] if y.ndim == 1 else y for y in ys]
         lo, hi = self.grid_x[0], self.grid_x[-1]
-        if context_x.min() < lo or context_x.max() > hi:
+        if xs.min() < lo or xs.max() > hi:
             raise ValueError(
                 f"context x outside grid span [{lo:.3f}, {hi:.3f}]")
+        d2 = (self.grid_x[:, None] - xs[None, :]) ** 2           # [G, total N]
+        return ad.set_conv(d2, ys, self.params["raw_len_in"], DENSITY_EPS)
 
-        d2 = (self.grid_x[:, None] - context_x[None, :]) ** 2          # [G, N]
-        return ad.set_conv(d2, context_y,
-                           ad.softplus(self.params["raw_len_in"]), DENSITY_EPS)
+    def embed_context(self, context_x: np.ndarray,
+                      context_y: np.ndarray) -> Tensor:
+        """`embed_views` of one view: [G, 1 + C] channels."""
+        channels = self.embed_views([context_x], [context_y])
+        return channels.reshape(*channels.shape[1:])
 
     def encode(self, channels: Tensor) -> tuple[Tensor, Representation]:
         """CNN over one view's grid embedding channels[G, 1 + C]; returns
@@ -199,12 +204,12 @@ class ConvCnpModel:
         return grid_features, Representation(r)
 
     def encode_views(self, views) -> tuple[Tensor, Representation]:
-        """Embed each view's context, stack the embeddings [V, G, 1 + C] and
-        `encode` them as one batch: grid features [V, G, H] and r [V, d_r].
-        Each view keeps its own embedding node, whose lengthscale adjoint
-        reaches raw_len_in in the order per-view encodes would give."""
-        return self.encode(ad.stack([
-            self.embed_context(v.context_x, v.context_y) for v in views]))
+        """`embed_views` of the views' contexts as one stack [V, G, 1 + C],
+        then `encode` of the stack as one batch: grid features [V, G, H]
+        and r [V, d_r], each view's bitwise its own, and so is the
+        lengthscale adjoint (see `autodiff.set_conv`)."""
+        return self.encode(self.embed_views([v.context_x for v in views],
+                                            [v.context_y for v in views]))
 
     def decode(self, grid_features: Tensor,
                target_x: np.ndarray) -> GaussianPrediction:

@@ -7,8 +7,10 @@ import pytest
 from contrnp import autodiff as ad
 from contrnp.autodiff import Tensor
 from contrnp.data import DataError, TimeSeries
+from contrnp.evaluate import (PROBE_LR, PROBE_STEPS, EvalError, ProbeModel,
+                              stratified_indices)
 from contrnp.losses import ContrastiveConfig, combined_loss
-from contrnp.train import NumericError, clip_gradients
+from contrnp.train import Adam, NumericError, clip_gradients
 
 
 def finite_diff_grads(fn, tensors, h=1e-5):
@@ -88,6 +90,77 @@ def reference_conv(x, kernel):
         return (gxp[:, :, pad:pad + L], gk)
 
     return out, backward
+
+
+def reference_set_conv(d2, y, ell, eps):
+    """`autodiff.set_conv` as it was before one node embedded a stack of
+    views: the set convolution of one view's values y[N, C] at squared
+    distances d2[G, N], [G, 1 + C], with the lengthscale ell a Tensor (a
+    softplus node of its own in the model). The oracle that the stacked
+    node must match bitwise, values and raw lengthscale gradient, when each
+    view has one of these nodes."""
+    w = ad._gauss(d2, ell.data)
+    den = w.sum(axis=1, keepdims=True)
+    den_eps = den + eps
+    out = np.empty((w.shape[0], 1 + y.shape[1]))
+    out[:, :1] = den
+    sig = out[:, 1:]
+    np.divide(w @ y, den_eps, out=sig)
+
+    def backward(g):
+        gs = g[:, 1:] / den_eps
+        gw = gs @ y.T
+        gw += g[:, :1] - np.einsum("ij,ij->i", gs, sig)[:, None]
+        gw *= w
+        return (np.vdot(gw, d2) / ell.data ** 3,)
+
+    return ad._make(out, (ell,), backward)
+
+
+def reference_train_probe(encoded, label_fraction, rng):
+    """`evaluate.train_probe` as it was before the probe's weights and bias
+    became the rows of one Adam parameter: two parameters, two Adam
+    updates per step. The oracle for the probe's bytes."""
+    classes = np.unique(encoded.labels)
+    lab_idx, _ = stratified_indices(encoded.labels, label_fraction, rng)
+    missing = [int(c) for c in classes
+               if not np.any(encoded.labels[lab_idx] == c)]
+    if missing:
+        raise EvalError(f"classes {missing} absent from the labeled split")
+
+    x = encoded.reps[lab_idx]
+    y = np.searchsorted(classes, encoded.labels[lab_idx])
+    tr_idx, va_idx = stratified_indices(y, 0.8, rng)
+    if len(va_idx) == 0:
+        tr_idx = np.arange(len(y))
+        va_idx = tr_idx
+    feat_mu = x[tr_idx].mean(axis=0)
+    feat_sd = x[tr_idx].std(axis=0) + 1e-8
+    xt, yt = (x[tr_idx] - feat_mu) / feat_sd, y[tr_idx]
+    xv, yv = (x[va_idx] - feat_mu) / feat_sd, y[va_idx]
+
+    d, nc = x.shape[1], len(classes)
+    w, b = Tensor(np.zeros((d, nc))), Tensor(np.zeros(nc))
+    opt = Adam({"w": w, "b": b}, lr=PROBE_LR)
+    onehot = np.eye(nc)[yt]
+    best = (-1.0, w.data.copy(), b.data.copy())
+    for t in range(1, PROBE_STEPS + 1):
+        z = xt @ w.data + b.data
+        z -= z.max(axis=1, keepdims=True)
+        p = np.exp(z)
+        p /= p.sum(axis=1, keepdims=True)
+        g = (p - onehot) / len(yt)
+        w.grad = xt.T @ g
+        b.grad = g.sum(axis=0)
+        opt.step()
+        if t % 25 == 0 or t == PROBE_STEPS:
+            acc = float(np.mean(np.argmax(xv @ w.data + b.data, axis=1) == yv))
+            if acc > best[0]:
+                best = (acc, w.data.copy(), b.data.copy())
+    w, b = best[1], best[2]
+    w_raw = w / feat_sd[:, None]
+    b_raw = b - feat_mu @ w_raw
+    return ProbeModel(w_raw, b_raw, classes)
 
 
 def per_view_train_step(model, batch, cfg, opt):

@@ -228,7 +228,7 @@ class TestTapeRule:
         "transpose": (ad.transpose, [(3, 4)]),
         "transpose_stack": (ad.transpose, [(2, 3, 4)]),
         "rbf": (lambda a: ad.rbf(np.ones((3, 4)), a), [()]),
-        "set_conv": (lambda a: ad.set_conv(np.ones((3, 4)), np.ones((4, 2)),
+        "set_conv": (lambda a: ad.set_conv(np.ones((3, 4)), [np.ones((4, 2))],
                                            a, 1e-6), [()]),
         "decode_nll": (decode_nll_op, [(5, 4), (4, 3), (3, 2)]),
     }
@@ -415,6 +415,11 @@ class TestGradientChecks:
             check_grads(build, [x, w])
 
 
+def raw_of(ell):
+    """The raw parameter whose softplus is the lengthscale ell."""
+    return float(np.log(np.expm1(ell)))
+
+
 def subnormal(a):
     """Entries of `a` that are not 0 but below the smallest normal float."""
     return (a != 0) & (np.abs(a) < TINY)
@@ -424,7 +429,10 @@ class TestRbf:
     """The two fused RBF nodes against `composed_rbf`'s two forms: `rbf`,
     the row-normalised weights (normalize=True), and `set_conv`, whose
     unnormalised weights are summed to a density and a signal channel
-    (normalize=False), at 1 and 3 signal channels. Both nodes set every
+    (normalize=False), at 1 and 3 signal channels. `set_conv` takes the
+    raw lengthscale, and its composed chain a softplus node on it; a
+    function of the lengthscale here takes whichever the node does
+    (`arg`). Both nodes set every
     weight the composed chain puts below the smallest normal float to 0
     and leave every other weight as it is."""
 
@@ -445,8 +453,16 @@ class TestRbf:
                 for y in (rng.standard_normal((30, c)) for c in (1, 3))]
 
     def set_conv_pair(self, d2, y):
-        return (lambda ell: ad.set_conv(d2, y, ell, self.EPS),
-                lambda ell: composed_set_conv(d2, y, ell, self.EPS))
+        return (lambda raw: ad.set_conv(d2, [y], raw, self.EPS).reshape(
+                    len(d2), -1),
+                lambda raw: composed_set_conv(d2, y, ad.softplus(raw),
+                                              self.EPS))
+
+    @staticmethod
+    def arg(normalize, ell):
+        """The value a build of `builds(rng, normalize)` takes for the
+        lengthscale ell: ell itself (rbf) or its raw parameter (set_conv)."""
+        return ell if normalize else raw_of(ell)
 
     @staticmethod
     def run_pair(rng, pair, ell_value):
@@ -469,7 +485,8 @@ class TestRbf:
     def test_lengthscale_gradient_matches_finite_differences(
             self, rng, normalize, spacings):
         for fused, _ in self.builds(rng, normalize):
-            ell = Tensor(spacings * self.SPACING, requires_grad=True)
+            ell = Tensor(self.arg(normalize, spacings * self.SPACING),
+                         requires_grad=True)
             g = Tensor(rng.standard_normal(fused(ell).shape))
             check_grads(lambda: ad.sum_axis(fused(ell) * g),
                         [ell], tol=1e-6, h=1e-7 * spacings)
@@ -479,7 +496,7 @@ class TestRbf:
     def test_fused_equals_composed_chain(self, rng, normalize, spacings):
         for pair in self.builds(rng, normalize):
             (fused, composed), grads = self.run_pair(
-                rng, pair, spacings * self.SPACING)
+                rng, pair, self.arg(normalize, spacings * self.SPACING))
             if normalize:
                 normal = composed >= TINY
                 if spacings == 0.3:  # the flush has entries to act on
@@ -503,8 +520,9 @@ class TestRbf:
         assert np.any(subnormal(composed_rbf(d2, ell).data))
         y = rng.standard_normal((50, 2))
         # set_conv's weights are the shared helper's, unnormalised
-        for out in (ad.rbf(d2, ell).data, ad._gauss(d2, ell),
-                    ad.set_conv(d2.T, y, ell, self.EPS).data):
+        raw = Tensor(raw_of(ell.data))
+        for out in (ad.rbf(d2, ell).data, ad._gauss(d2, ell.data),
+                    ad.set_conv(d2.T, [y], raw, self.EPS).data):
             assert not np.any(subnormal(out))
 
     def test_exp_at_clamp_threshold_is_normal(self):
@@ -542,7 +560,7 @@ class TestRbf:
         assert np.any(subnormal(composed_rbf(d2, Tensor(ell)).data))
         for c in (1, 3):
             pair = self.set_conv_pair(d2, rng.standard_normal((60, c)))
-            (fused, composed), grads = self.run_pair(rng, pair, ell)
+            (fused, composed), grads = self.run_pair(rng, pair, raw_of(ell))
             np.testing.assert_array_equal(fused, composed)
             assert grads[0] == pytest.approx(grads[1], rel=1e-12, abs=0)
 
@@ -658,6 +676,25 @@ class TestBatchedForward:
                          for i in range(batch)])
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+class TestIm2colAlignment:
+    """Every array `_im2col_arrays` hands `_conv` starts on a cache line
+    (64 bytes), where OpenBLAS's small-matrix kernel reads the columns
+    fastest."""
+
+    @pytest.mark.parametrize("batch, c_in, length, width", [
+        (8, 2, 64, 7), (8, 32, 64, 7),       # 8-view WAVE layers (extract)
+        (16, 2, 64, 7), (16, 32, 64, 7),     # 16-view WAVE layers (a step)
+        (16, 2, 64, 5), (16, 64, 64, 5),     # the TrainConfig layers
+        (1, 3, 2, 7)],                       # kernel past both ends
+        ids=["wave8_in", "wave8_mid", "wave16_in", "wave16_mid", "paper_in",
+             "paper_mid", "L2_W7"])
+    def test_arrays_start_on_a_cache_line(self, batch, c_in, length, width):
+        ad._im2col_arrays.cache_clear()
+        arrays = ad._im2col_arrays(batch, c_in, length, width)
+        for a in arrays:
+            assert a.ctypes.data % 64 == 0
 
 
 class TestConstantOperands:

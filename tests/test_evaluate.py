@@ -14,7 +14,7 @@ from contrnp.evaluate import (EncodedDataset, EvalError, ProbeModel,
 from contrnp.model import (ConvCnpModel, ModelConfig, load_checkpoint,
                            save_checkpoint)
 
-from conftest import param_hash, represent
+from conftest import param_hash, reference_train_probe, represent
 
 
 # -- brute-force reference implementations ------------------------------------
@@ -200,6 +200,27 @@ class TestProbe:
         enc = extract(model, segs, 2, 0.25, 0.75, (5, 10), rng)
         train_probe(enc, 0.8, rng)
         assert param_hash(model) == before
+
+
+class TestProbeMatchesReference:
+    """`train_probe`, with the weights and bias as the rows of one Adam
+    parameter, against `conftest.reference_train_probe`, with two: the
+    same bytes."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_classes, per_class, fraction", [
+        (2, 40, 1.0), (3, 30, 0.5), (4, 25, 0.2),
+        (2, 5, 0.4)])   # 2 labeled per class: no validation rows
+    def test_same_bytes(self, seed, n_classes, per_class, fraction):
+        enc = blobs(np.random.default_rng(seed), n_classes=n_classes,
+                    per_class=per_class, d=8)
+        got = train_probe(enc, fraction, np.random.default_rng(seed + 10))
+        want = reference_train_probe(enc, fraction,
+                                     np.random.default_rng(seed + 10))
+        for a, b in [(got.weights, want.weights), (got.bias, want.bias),
+                     (got.classes, want.classes)]:
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
 
 # a tenth of the minor faults an extract made with fresh columns per layer

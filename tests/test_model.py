@@ -12,8 +12,8 @@ from contrnp.model import (DECODER_PARAMS, DENSITY_EPS, CheckpointError,
                            SIGMA_MIN, load_checkpoint, save_checkpoint)
 
 from conftest import (check_grads, composed_rbf, composed_set_conv, conv1d,
-                      flip_byte_in, gaussian_nll, leaf, relu, represent,
-                      translate_check)
+                      flip_byte_in, gaussian_nll, leaf, reference_set_conv,
+                      relu, represent, translate_check)
 
 
 SMALL = ModelConfig(grid_size=32, cnn_depth=2, cnn_width=8, d_r=6,
@@ -76,6 +76,64 @@ class TestEmbedContext:
     def test_empty_context_rejected(self, model):
         with pytest.raises(ValueError, match="empty"):
             model.embed_context(np.array([]), np.empty((0, 1)))
+
+
+class TestEmbedViews:
+    """`embed_views`, one `set_conv` node over a stack of views with
+    contexts of uneven sizes, against one `conftest.reference_set_conv`
+    node per view, each behind a softplus node of its own, stacked: the
+    values and the bytes of raw_len_in's gradient."""
+
+    @staticmethod
+    def embeddings(n_views, n_channels, raw):
+        """Each way's embedding of one set of views and raw_len_in's
+        gradient under one random output adjoint."""
+        r = np.random.default_rng([n_views, n_channels])
+        model = ConvCnpModel(ModelConfig(grid_size=64, n_channels=n_channels),
+                             r)
+        sizes = r.integers(1, 90, n_views)
+        xs = [np.sort(r.uniform(0.0, 1.0, n)) for n in sizes]
+        ys = [r.standard_normal((n, n_channels)) for n in sizes]
+        g = Tensor(r.standard_normal((n_views, 64, 1 + n_channels)))
+
+        def per_view():
+            return ad.stack([
+                reference_set_conv((model.grid_x[:, None] - x[None, :]) ** 2,
+                                   y, ad.softplus(model.params["raw_len_in"]),
+                                   DENSITY_EPS)
+                for x, y in zip(xs, ys)])
+
+        results = []
+        for build in (lambda: model.embed_views(xs, ys), per_view):
+            param = model.params["raw_len_in"] = Tensor(raw,
+                                                        requires_grad=True)
+            out = build()
+            param.zero_grad()
+            ad.sum_axis(out * g).backward()
+            results.append((out.data, param.grad))
+        return results
+
+    # raw lengthscales for 2, 0.96 (as trained; some weights fall below
+    # tiny) and 0.3 grid spacings of 64 nodes
+    @pytest.mark.parametrize("raw", [-3.22, -4.0, -5.19])
+    @pytest.mark.parametrize("n_channels", [1, 2])
+    @pytest.mark.parametrize("n_views", [1, 3, 8])
+    def test_bitwise_equal_to_per_view_nodes(self, n_views, n_channels, raw):
+        (got, got_grad), (want, want_grad) = self.embeddings(
+            n_views, n_channels, raw)
+        assert got.shape == want.shape == (n_views, 64, 1 + n_channels)
+        assert got.tobytes() == want.tobytes()
+        assert got_grad.tobytes() == want_grad.tobytes()
+
+    def test_one_view_is_embed_context(self, model, rng):
+        x, y = sine_context(rng)
+        np.testing.assert_array_equal(model.embed_views([x], [y]).data[0],
+                                      model.embed_context(x, y).data)
+
+    def test_empty_view_rejected(self, model, rng):
+        x, y = sine_context(rng)
+        with pytest.raises(ValueError, match="empty"):
+            model.embed_views([x, np.array([])], [y, np.empty((0, 1))])
 
 
 class TestEncode:
