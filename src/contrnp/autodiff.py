@@ -217,11 +217,6 @@ def _softplus(x: np.ndarray):
     return out, sig
 
 
-def softplus(a: Tensor) -> Tensor:
-    out, sig = _softplus(a.data)
-    return _make(out, (a,), lambda g: (g * sig,))
-
-
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
     return _make(out, (a,), lambda g: (g * out,))
@@ -348,30 +343,21 @@ def _gauss(d2: np.ndarray, ell: np.ndarray, floor=_LOG_TINY) -> np.ndarray:
     return np.exp(e, out=e)
 
 
-def rbf(d2: np.ndarray, ell: Tensor) -> Tensor:
-    """Row-normalised RBF weights of constant squared distances d2[N, M]
-    and a scalar lengthscale: exp(-d2 / 2 ell^2), each row divided by its
-    sum, with every entry below the smallest normal float set to 0.
-
-    One node in place of the exp/sum/div chain: its only gradient is the
-    scalar ell's, G.(q (d2 - rowsum(q d2))) / ell^3."""
-    q = _gauss(d2, ell.data)
+def _smoother(d2: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    """Row-normalised RBF weights of squared distances d2[N, M] and a
+    lengthscale ell: exp(-d2 / 2 ell^2), each row divided by its sum, with
+    every entry below the smallest normal float set to 0."""
+    q = _gauss(d2, ell)
     rowsum = q.sum(axis=1, keepdims=True)
     short = rowsum[:, 0] < 1.0
     if short.any():
         # dividing by a sum below 1 can lift an entry exp put below tiny to
         # tiny or above: those rows keep every exp entry until the flush
-        q[short] = _gauss(d2[short], ell.data, -np.inf)
+        q[short] = _gauss(d2[short], ell, -np.inf)
         rowsum[short] = q[short].sum(axis=1, keepdims=True)
     q /= rowsum
     q[q < _TINY] = 0.0
-
-    def backward(g):
-        dq = d2 - np.einsum("ij,ij->i", q, d2)[:, None]
-        dq *= q
-        return (np.vdot(g, dq) / ell.data ** 3,)
-
-    return _make(q, (ell,), backward)
+    return q
 
 
 def set_conv(d2: np.ndarray, ys, raw_ell: Tensor, eps: float) -> Tensor:
@@ -550,33 +536,40 @@ def conv_block(h: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
-def _decoder(qn: Tensor, F3: np.ndarray, weights, sigma_min: float):
-    """The ConvCNP decoder of V views that share one smoother qn[T, G]: each
-    view's grid features F_v[G, H] (F3[v] of an array [V, G, H]) smoothed
-    onto the T targets, one hidden layer, then a mu head and a sigma head
-    over C channels,
+def _decoder(d2: np.ndarray, F3: np.ndarray, weights, sigma_min: float):
+    """The ConvCNP decoder of V views on one target set: each view's grid
+    features F_v[G, H] (F3[v] of an array [V, G, H]) smoothed onto the T
+    targets at squared distances d2[T, G], one hidden layer, then a mu head
+    and a sigma head over C channels,
 
         Z_v = relu(qn @ (F_v @ W1) + b1)                        [T, hidden]
         mu_v = Z_v @ W_mu + b_mu
         sigma_v = softplus(Z_v @ W_sig + b_sig) + sigma_min     [T, C]
 
-    with weights = (W1, b1, W_mu, b_mu, W_sig, b_sig). All views go through
-    one [T, G] x [G, V * hidden] product and one [T * V, hidden] x
-    [hidden, 2C] product for both heads. Returns mu and sigma [V, T, C] and
-    the backward that maps their adjoints (arrays of that shape) to the
-    gradients of (qn, the grid features [V, G, H], *weights). That backward
+    with weights = (raw, W1, b1, W_mu, b_mu, W_sig, b_sig) and the smoother
+    qn = `_smoother`(d2, softplus(raw)). All views go through one [T, G] x
+    [G, V * hidden] product and one [T * V, hidden] x [hidden, 2C] product
+    for both heads. Returns mu and sigma [V, T, C] and the backward that
+    maps their adjoints to the gradients of (the grid features, *weights);
+    raw's is ((dZ @ A^T) . (qn (d2 - rowsum(qn d2)))) / ell^3 times
+    sigmoid(raw), with dZ the adjoint of [Z_1, ..., Z_V] and A =
+    [F_1 @ W1, ..., F_V @ W1], as a softplus node and a smoother node would
+    give it. That backward
     writes the hidden layer's adjoint over the hidden layer, the largest
     array here, so it runs once per forward pass: a fresh array of that size
     every step would be freed to the OS and faulted in again."""
-    w1, b1, w_mu, b_mu, w_sig, b_sig = (w.data for w in weights)
-    (T, G), V = qn.shape, len(F3)
+    raw, w1, b1, w_mu, b_mu, w_sig, b_sig = (w.data for w in weights)
+    ell, dell = _softplus(raw)
+    ell = np.asarray(ell)  # as a softplus node holds it: ** 3 is numpy's loop
+    qn = _smoother(d2, ell)
+    (T, G), V = d2.shape, len(F3)
     H, hidden = w1.shape
     C = w_mu.shape[1]
     # row g * V + v of F is row g of F_v, so columns v * hidden onwards of
     # A hold F_v @ W1
     F = F3.transpose(1, 0, 2).reshape(G * V, H)
     A = (F @ w1).reshape(G, V * hidden)
-    Z = qn.data @ A
+    Z = qn @ A
     z = Z.reshape(T * V, hidden)
     z += b1
     np.maximum(Z, 0.0, out=Z)
@@ -606,27 +599,32 @@ def _decoder(qn: Tensor, F3: np.ndarray, weights, sigma_min: float):
         dz = np.matmul(dhead, w_head.T, out=z)
         dz *= live
         dZ = dz.reshape(T, V * hidden)
-        dqn = dZ @ A.T if qn.requires_grad else None
-        dA = (qn.data.T @ dZ).reshape(G * V, hidden)
+        draw = None
+        if weights[0].requires_grad:
+            # two [T, G] temporaries, freed before dA and dF are made
+            dq = d2 - np.einsum("ij,ij->i", qn, d2)[:, None]
+            dq *= qn
+            draw = np.vdot(dZ @ A.T, dq) / ell ** 3 * dell
+        dA = (qn.T @ dZ).reshape(G * V, hidden)
         dF = (dA @ w1.T).reshape(G, V, H)
-        return (dqn, dF.transpose(1, 0, 2), F.T @ dA,
-                dz.sum(axis=0), dw_head[:, :C], db_head[:C], dw_head[:, C:],
-                db_head[C:])
+        return (dF.transpose(1, 0, 2), draw, F.T @ dA, dz.sum(axis=0),
+                dw_head[:, :C], db_head[:C], dw_head[:, C:], db_head[C:])
 
     return mu, sigma, backward
 
 
-def decode_nll(qn: Tensor, grids: Tensor, ys, weights,
+def decode_nll(d2: np.ndarray, grids: Tensor, ys, weights,
                sigma_min: float) -> Tensor:
     """The mean Gaussian negative log likelihood [V] of each view's targets
-    ys[v][T, C] under its prediction by `_decoder` from its grid features
+    ys[v][T, C] under its prediction by `_decoder` from the squared
+    distances d2[T, G] of the targets to the grid and its grid features
     grids[v] (grids is [V, G, H]), as one node: per view, the mean over
     targets and channels of log sigma + log(2 pi) / 2 + (mu - y)^2 /
     (2 sigma^2).
 
     Its backward maps the V adjoints to mu's and sigma's and runs the
     decoder's backward once for all views."""
-    mu, sigma, decoder_backward = _decoder(qn, grids.data, weights, sigma_min)
+    mu, sigma, decoder_backward = _decoder(d2, grids.data, weights, sigma_min)
     diff = mu - np.stack(ys)
     var = sigma * sigma
     point = np.log(sigma) + HALF_LOG_2PI + diff * diff / (var * 2.0)
@@ -639,4 +637,4 @@ def decode_nll(qn: Tensor, grids: Tensor, ys, weights,
         dsigma = (1.0 / sigma - diff * diff / (var * sigma)) * scale
         return decoder_backward(dmu, dsigma)
 
-    return _make(out, (qn, grids, *weights), backward)
+    return _make(out, (grids, *weights), backward)

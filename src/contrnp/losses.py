@@ -87,10 +87,10 @@ def _stacked(preds: list[GaussianPrediction], reps):
     """`combined_loss`'s inputs with their per-view forms stacked, the one
     place that reads those forms: a [K][M] list of Representations [d_r]
     becomes one Representation [K, M, d_r], and each run of adjacent
-    one-view predictions [G, H] with the same decoder weights and smoothers
-    of equal values becomes one prediction on the run's stacked grid
-    features and its first smoother. Those are the runs
-    `ConvCnpModel.decode_views` forms; stacks pass through."""
+    one-view predictions [G, H] with the same decoder parameters and equal
+    target distances d2 becomes one prediction on the run's stacked grid
+    features. Those are the runs `ConvCnpModel.decode_views` forms; stacks
+    pass through."""
     if not isinstance(reps, Representation):
         reps = Representation(ad.stack([rep.r for row in reps for rep in row])
                               .reshape(len(reps), len(reps[0]), -1))
@@ -100,7 +100,7 @@ def _stacked(preds: list[GaussianPrediction], reps):
         if (last is not None
                 and pred.grid_features.ndim == last.grid_features.ndim == 2
                 and pred.weights == last.weights      # Tensors: by identity
-                and np.array_equal(pred.smoother.data, last.smoother.data)):
+                and np.array_equal(pred.d2, last.d2)):
             runs[-1].append(pred)
         else:
             runs.append([pred])
@@ -123,7 +123,7 @@ def _view_nlls(preds: list[GaussianPrediction], targets: list) -> Tensor:
     for pred, n in zip(preds, sizes):
         ys = [_target_array(y, pred.shape) for y in targets[at:at + n]]
         at += n
-        parts.append(ad.decode_nll(pred.smoother, pred.grid_features, ys,
+        parts.append(ad.decode_nll(pred.d2, pred.grid_features, ys,
                                    pred.weights, SIGMA_MIN))
     return parts[0] if len(parts) == 1 else ad.concat(parts)
 

@@ -81,18 +81,19 @@ class Representation:
 
 
 # the decoder's parameters, in the order `autodiff.decode_nll` takes them
-DECODER_PARAMS = ("dec_w1", "dec_b1", "dec_mu_w", "dec_mu_b", "dec_sig_w",
-                  "dec_sig_b")
+DECODER_PARAMS = ("raw_len_out", "dec_w1", "dec_b1", "dec_mu_w", "dec_mu_b",
+                  "dec_sig_w", "dec_sig_b")
 
 
 class GaussianPrediction(NamedTuple):
     """The per-channel Gaussian prediction [n_target, C] of a view, or
     [V, n_target, C] of a stack of V views on one target set, as
-    `ConvCnpModel.decode` leaves it: the grid features with the smoother
-    onto the targets and the decoder weights, not decoded yet.
+    `ConvCnpModel.decode` leaves it: the targets' squared distances to the
+    grid, the grid features and the decoder parameters, not decoded yet;
+    the smoother onto the targets is built when it is decoded.
     `losses.combined_loss` decodes and scores a stack in one
     `autodiff.decode_nll` node; `mu_sigma` reads the values of either."""
-    smoother: Tensor         # [n_target, G], shared by views on one target set
+    d2: np.ndarray           # [n_target, G], a constant
     grid_features: Tensor    # [G, H], or [V, G, H] for a stack of V views
     weights: tuple           # the DECODER_PARAMS Tensors
 
@@ -100,13 +101,14 @@ class GaussianPrediction(NamedTuple):
     def shape(self) -> tuple:
         """[n_target, C] of each view's prediction: dec_sig_b has one entry
         per channel."""
-        return (self.smoother.shape[0], self.weights[-1].shape[0])
+        return (self.d2.shape[0], self.weights[-1].shape[0])
 
     def mu_sigma(self) -> tuple[np.ndarray, np.ndarray]:
-        """mu and sigma, from one `autodiff._decoder` pass with the
-        decoder weights' values at the time of the call; records no tape."""
+        """mu and sigma, from one `autodiff._decoder` pass with the decoder
+        parameters' values at the time of the call, the lengthscale's too;
+        records no tape."""
         grids = self.grid_features.data
-        mu, sigma, _ = ad._decoder(self.smoother,
+        mu, sigma, _ = ad._decoder(self.d2,
                                    grids.reshape(-1, *grids.shape[-2:]),
                                    self.weights, SIGMA_MIN)
         shape = grids.shape[:-2] + mu.shape[1:]
@@ -214,30 +216,26 @@ class ConvCnpModel:
     def decode(self, grid_features: Tensor,
                target_x: np.ndarray) -> GaussianPrediction:
         """The Gaussian prediction at the targets from the grid features of
-        one view [G, H], or of a stack of views [V, G, H] on these targets,
-        with the smoother onto the targets, which the views of one target
-        set share (see GaussianPrediction)."""
+        one view [G, H], or of a stack of views [V, G, H] on these targets:
+        it holds the targets' squared distances to the grid, from which the
+        decoder builds the smoother onto the targets that the views of one
+        target set share (see GaussianPrediction)."""
         target_x = np.asarray(target_x, dtype=np.float64)
         lo, hi = self.grid_x[0], self.grid_x[-1]
         if target_x.min() < lo or target_x.max() > hi:
             raise ValueError(
                 f"target x outside grid span [{lo:.3f}, {hi:.3f}]")
-        weights = tuple(self.params[name] for name in DECODER_PARAMS)
-        return GaussianPrediction(self._smoother(target_x), grid_features,
-                                  weights)
-
-    def _smoother(self, target_x: np.ndarray) -> Tensor:
-        """The row-normalised RBF smoother [T, G] from the grid onto the
-        targets."""
         d2 = (target_x[:, None] - self.grid_x[None, :]) ** 2           # [T, G]
-        return ad.rbf(d2, ad.softplus(self.params["raw_len_out"]))
+        weights = tuple(self.params[name] for name in DECODER_PARAMS)
+        return GaussianPrediction(d2, grid_features, weights)
 
     def decode_views(self, grid_features: Tensor,
                      target_xs) -> list[GaussianPrediction]:
         """The predictions of the views stacked in grid_features [V, G, H]
         at their targets target_xs[v]: one per run of adjacent views with
         equal targets, on that run's rows of the stack, so the views of a
-        run share one smoother and one `autodiff.decode_nll` node. Segments
+        run are decoded and scored by one `autodiff.decode_nll` node, which
+        builds their smoother once. Segments
         cut from a series with uneven timestamps have targets of their
         own."""
         preds, start, n = [], 0, len(target_xs)
@@ -253,7 +251,7 @@ class ConvCnpModel:
     def lengthscales(self) -> tuple[float, float]:
         """The set-conv and decoder RBF lengthscales, softplus(raw_len_in)
         and softplus(raw_len_out)."""
-        return tuple(ad.softplus(Tensor(self.params[name].data)).item()
+        return tuple(float(ad._softplus(self.params[name].data)[0])
                      for name in ("raw_len_in", "raw_len_out"))
 
     def predict(self, context_x, context_y, target_x) -> GaussianPrediction:
@@ -349,8 +347,9 @@ def load_checkpoint(path) -> tuple[ConvCnpModel, dict, int]:
         raise CheckpointError(f"{path}: missing parameters {sorted(missing)}")
     # Below `shortest`, a point half a grid spacing h from its nearest node
     # gets RBF weights below tiny on every node: exact for set_conv, which
-    # zeroes them, and conservative by about 2.5% for rbf, whose short rows
-    # keep subnormals until exp underflows. From `longest` on, ell^2 overflows
+    # zeroes them, and conservative by about 2.5% for the decoder's
+    # smoother, whose short rows keep subnormals until exp underflows. From
+    # `longest` on, ell^2 overflows
     floats = np.finfo(np.float64)
     shortest = model.grid_spacing / 2 / math.sqrt(-2 * math.log(floats.tiny))
     longest = math.sqrt(floats.max)

@@ -117,6 +117,80 @@ def reference_set_conv(d2, y, ell, eps):
     return ad._make(out, (ell,), backward)
 
 
+def reference_rbf(d2, ell):
+    """The decoder's smoother node as it was before `autodiff.decode_nll`
+    built its own: the row-normalised RBF weights [T, G] of constant squared
+    distances d2[T, G] and a scalar lengthscale Tensor ell (a softplus node
+    of its own in the model), entries below the smallest normal float set
+    to 0. Its only gradient is ell's, G.(q (d2 - rowsum(q d2))) / ell^3."""
+    q = ad._gauss(d2, ell.data)
+    rowsum = q.sum(axis=1, keepdims=True)
+    short = rowsum[:, 0] < 1.0
+    if short.any():
+        q[short] = ad._gauss(d2[short], ell.data, -np.inf)
+        rowsum[short] = q[short].sum(axis=1, keepdims=True)
+    q /= rowsum
+    q[q < ad._TINY] = 0.0
+
+    def backward(g):
+        dq = d2 - np.einsum("ij,ij->i", q, d2)[:, None]
+        dq *= q
+        return (np.vdot(g, dq) / ell.data ** 3,)
+
+    return ad._make(q, (ell,), backward)
+
+
+def reference_decode_nll(qn, grids, ys, weights, sigma_min):
+    """`autodiff.decode_nll` as it was before it built its own smoother: it
+    took the smoother qn[T, G] as a Tensor (`reference_rbf` behind a
+    softplus node) and the six decoder weights after raw_len_out, and gave
+    qn the adjoint dZ @ A^T. With `reference_rbf`, the oracle that today's
+    node must match byte for byte: NLLs and every gradient."""
+    w1, b1, w_mu, b_mu, w_sig, b_sig = (w.data for w in weights)
+    (T, G), V = qn.shape, len(grids.data)
+    H, hidden = w1.shape
+    C = w_mu.shape[1]
+    F = grids.data.transpose(1, 0, 2).reshape(G * V, H)
+    A = (F @ w1).reshape(G, V * hidden)
+    Z = qn.data @ A
+    z = Z.reshape(T * V, hidden)
+    z += b1
+    np.maximum(Z, 0.0, out=Z)
+    w_head = np.concatenate([w_mu, w_sig], axis=1)
+    head = z @ w_head
+    head += np.concatenate([b_mu, b_sig])
+    head = head.reshape(T, V, 2 * C).transpose(1, 0, 2)
+    mu = np.ascontiguousarray(head[:, :, :C])
+    sigma, dsigma_dpre = ad._softplus(np.ascontiguousarray(head[:, :, C:]))
+    sigma += sigma_min
+    diff = mu - np.stack(ys)
+    var = sigma * sigma
+    point = np.log(sigma) + ad.HALF_LOG_2PI + diff * diff / (var * 2.0)
+    n = point[0].size
+    out = point.reshape(V, n).sum(axis=1) * (1.0 / n)
+
+    def backward(g):
+        scale = (g * (1.0 / n))[:, None, None]
+        dsigma = (1.0 / sigma - diff * diff / (var * sigma)) * scale
+        dhead = np.empty((T * V, 2 * C))
+        by_view = dhead.reshape(T, V, 2 * C).transpose(1, 0, 2)
+        by_view[:, :, :C] = diff / var * scale
+        np.multiply(dsigma, dsigma_dpre, out=by_view[:, :, C:])
+        dw_head = z.T @ dhead
+        db_head = dhead.sum(axis=0)
+        live = z > 0
+        dz = np.matmul(dhead, w_head.T, out=z)
+        dz *= live
+        dZ = dz.reshape(T, V * hidden)
+        dqn = dZ @ A.T if qn.requires_grad else None
+        dA = (qn.data.T @ dZ).reshape(G * V, hidden)
+        dF = (dA @ w1.T).reshape(G, V, H)
+        return (dqn, dF.transpose(1, 0, 2), F.T @ dA, dz.sum(axis=0),
+                dw_head[:, :C], db_head[:C], dw_head[:, C:], db_head[C:])
+
+    return ad._make(out, (qn, grids, *weights), backward)
+
+
 def reference_train_probe(encoded, label_fraction, rng):
     """`evaluate.train_probe` as it was before the probe's weights and bias
     became the rows of one Adam parameter: two parameters, two Adam
@@ -271,6 +345,13 @@ def relu(a):
     return ad._make(np.maximum(a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
+def softplus(a):
+    """softplus(a) as one node whose adjoint is scaled by sigmoid(a): the
+    lengthscale chain of the reference nodes and of the op-by-op oracles."""
+    out, sig = ad._softplus(a.data)
+    return ad._make(out, (a,), lambda g: (g * sig,))
+
+
 def getitem(a, key):
     """a.data[key] for a basic (slice or integer) index, as one node."""
     def backward(g):
@@ -298,7 +379,8 @@ def represent(model, context_x, context_y):
 
 def composed_rbf(d2, ell, normalize=False):
     """RBF weights from elementary ops: exp of the scaled squared distances,
-    then, with `normalize` (as `autodiff.rbf`), a row sum and a divide."""
+    then, with `normalize` (as the decoder's `autodiff._smoother`), a row
+    sum and a divide."""
     q = ad.exp(Tensor(d2) * -0.5 / (ell * ell))
     return q / ad.sum_axis(q, axis=1, keepdims=True) if normalize else q
 
@@ -310,6 +392,17 @@ def composed_set_conv(d2, y, ell, eps):
     density = ad.sum_axis(w, axis=1, keepdims=True)
     signal = (w @ Tensor(y)) / (density + eps)
     return ad.concat([density, signal], axis=1)
+
+
+def reachable_nodes(*roots) -> int:
+    """Tensors reachable from `roots` through the recorded parents."""
+    seen, stack = set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
 
 
 def translate_check(model, context_x, context_y, target_x, delta_steps: int):

@@ -11,7 +11,7 @@ from contrnp.autodiff import DomainError, ShapeMismatchError, Tensor
 
 from conftest import (check_grads, composed_rbf, composed_set_conv, conv1d,
                       finite_diff_grads, getitem, leaf, reference_conv,
-                      rel_err, relu)
+                      reference_decode_nll, rel_err, relu, softplus)
 
 TINY = np.finfo(np.float64).tiny
 
@@ -44,10 +44,10 @@ def conv1d_reference(x, k, padding, g):
 
 class TestForwardValues:
     def test_softplus_at_zero(self):
-        assert ad.softplus(Tensor(0.0)).item() == pytest.approx(np.log(2.0))
+        assert softplus(Tensor(0.0)).item() == pytest.approx(np.log(2.0))
 
     def test_softplus_stable_for_large_inputs(self):
-        out = ad.softplus(Tensor([-1000.0, 1000.0]))
+        out = softplus(Tensor([-1000.0, 1000.0]))
         assert np.all(np.isfinite(out.data))
         assert out.data[1] == pytest.approx(1000.0)
 
@@ -75,8 +75,8 @@ class TestForwardValues:
 
     def test_forward_determinism(self, rng):
         x = rng.standard_normal((4, 6))
-        r1 = ad.softplus(ad.exp(Tensor(x)) @ Tensor(x.T)).data
-        r2 = ad.softplus(ad.exp(Tensor(x)) @ Tensor(x.T)).data
+        r1 = softplus(ad.exp(Tensor(x)) @ Tensor(x.T)).data
+        r2 = softplus(ad.exp(Tensor(x)) @ Tensor(x.T)).data
         np.testing.assert_array_equal(r1, r2)
 
 
@@ -190,13 +190,14 @@ def out_of_place_grad(loss, leaf_tensor):
     return grad
 
 
-def decode_nll_op(qn, grid, w1):
-    """`autodiff.decode_nll` of a smoother [5, 4], grid features [4, 3] and
-    W1 [3, 2], with constant biases and heads over 2 channels."""
-    weights = (w1, *(Tensor(np.full(shape, 0.5)) for shape in
-                     [(2,), (2, 2), (2,), (2, 2), (2,)]))
-    return ad.decode_nll(qn, ad.stack([grid]), [np.ones((5, 2))], weights,
-                         1e-4)
+def decode_nll_op(raw, grid, w1):
+    """`autodiff.decode_nll` of a raw lengthscale, constant squared
+    distances [5, 4], grid features [4, 3] and W1 [3, 2], with constant
+    biases and heads over 2 channels."""
+    weights = (raw, w1, *(Tensor(np.full(shape, 0.5)) for shape in
+                          [(2,), (2, 2), (2,), (2, 2), (2,)]))
+    return ad.decode_nll(np.ones((5, 4)), ad.stack([grid]), [np.ones((5, 2))],
+                         weights, 1e-4)
 
 
 class TestTapeRule:
@@ -217,7 +218,7 @@ class TestTapeRule:
         "conv_block": (ad.conv_block, [(2, 3, 8), (4, 3, 3), (4,)]),
         "conv_block_residual": (ad.conv_block, [(2, 4, 8), (4, 4, 3), (4,)]),
         "relu": (relu, [(3, 4)]),
-        "softplus": (ad.softplus, [(3, 4)]),
+        "softplus": (softplus, [(3, 4)]),
         "exp": (ad.exp, [(3, 4)]),
         "log": (lambda a: ad.log(ad.exp(a)), [(3, 4)]),
         "sqrt": (lambda a: ad.sqrt(ad.exp(a)), [(3, 4)]),
@@ -227,10 +228,9 @@ class TestTapeRule:
         "reshape": (lambda a: a.reshape(4, 3), [(3, 4)]),
         "transpose": (ad.transpose, [(3, 4)]),
         "transpose_stack": (ad.transpose, [(2, 3, 4)]),
-        "rbf": (lambda a: ad.rbf(np.ones((3, 4)), a), [()]),
         "set_conv": (lambda a: ad.set_conv(np.ones((3, 4)), [np.ones((4, 2))],
                                            a, 1e-6), [()]),
-        "decode_nll": (decode_nll_op, [(5, 4), (4, 3), (3, 2)]),
+        "decode_nll": (decode_nll_op, [(), (4, 3), (3, 2)]),
     }
     CASES = [(name, flags) for name, (_, shapes) in OPS.items()
              for flags in itertools.product([False, True], repeat=len(shapes))]
@@ -337,9 +337,9 @@ class TestGradientChecks:
             lambda: ad.sum_axis(x * y),
             lambda: ad.sum_axis(x / (y * y + 1.0)),
             lambda: ad.sum_axis(relu(x) * y),
-            lambda: ad.sum_axis(ad.softplus(x)),
+            lambda: ad.sum_axis(softplus(x)),
             lambda: ad.sum_axis(ad.exp(x * 0.3)),
-            lambda: ad.sum_axis(ad.log(ad.softplus(x) + 0.1)),
+            lambda: ad.sum_axis(ad.log(softplus(x) + 0.1)),
             lambda: ad.sum_axis(ad.sqrt(x * x + 1.0)),
         ]:
             check_grads(build, [x, y])
@@ -409,7 +409,7 @@ class TestGradientChecks:
             w = Tensor(r.standard_normal((m, 2)), requires_grad=True)
 
             def build():
-                h = ad.softplus(x @ w)
+                h = softplus(x @ w)
                 return ad.mean_axis(h * h + ad.exp(h * -0.5))
 
             check_grads(build, [x, w])
@@ -426,78 +426,98 @@ def subnormal(a):
 
 
 class TestRbf:
-    """The two fused RBF nodes against `composed_rbf`'s two forms: `rbf`,
-    the row-normalised weights (normalize=True), and `set_conv`, whose
-    unnormalised weights are summed to a density and a signal channel
-    (normalize=False), at 1 and 3 signal channels. `set_conv` takes the
-    raw lengthscale, and its composed chain a softplus node on it; a
-    function of the lengthscale here takes whichever the node does
-    (`arg`). Both nodes set every
-    weight the composed chain puts below the smallest normal float to 0
-    and leave every other weight as it is."""
+    """The two nodes that build RBF weights against `composed_rbf`'s two
+    forms: `decode_nll`, whose smoother `_smoother` is the row-normalised
+    weights (normalize=True), and `set_conv`, whose unnormalised weights are
+    summed to a density and a signal channel (normalize=False), at 1 and 3
+    signal channels. Both take the raw lengthscale, and their composed
+    chains a softplus node on it; `decode_nll`'s composed chain scores the
+    composed smoother with `conftest.reference_decode_nll`, two views over 2
+    channels. Both nodes set every weight the composed chain puts below the
+    smallest normal float to 0 and leave every other weight as it is."""
 
     GRID = np.linspace(-0.1, 1.1, 16)
     SPACING = GRID[1] - GRID[0]
     EPS = 1e-6
 
-    def builds(self, rng, normalize):
-        """(fused, composed) pairs of functions of the lengthscale, each
-        over its own constant inputs."""
+    def d2(self, rng, normalize):
+        """Squared distances of 30 random points to the grid: [T, G] for
+        the smoother, [G, N] for the set convolution."""
         x = rng.uniform(0.0, 1.0, 30)
         if normalize:
-            d2 = (x[:, None] - self.GRID[None, :]) ** 2             # [T, G]
-            return [(lambda ell: ad.rbf(d2, ell),
-                     lambda ell: composed_rbf(d2, ell, normalize=True))]
-        d2 = (self.GRID[:, None] - x[None, :]) ** 2                 # [G, N]
+            return (x[:, None] - self.GRID[None, :]) ** 2
+        return (self.GRID[:, None] - x[None, :]) ** 2
+
+    def builds(self, rng, d2, normalize):
+        """(fused, composed) pairs of functions of the raw lengthscale, each
+        over its own constant inputs."""
+        if normalize:
+            return [self.decode_pair(rng, d2)]
         return [self.set_conv_pair(d2, y)
                 for y in (rng.standard_normal((30, c)) for c in (1, 3))]
 
     def set_conv_pair(self, d2, y):
         return (lambda raw: ad.set_conv(d2, [y], raw, self.EPS).reshape(
                     len(d2), -1),
-                lambda raw: composed_set_conv(d2, y, ad.softplus(raw),
+                lambda raw: composed_set_conv(d2, y, softplus(raw),
                                               self.EPS))
 
     @staticmethod
-    def arg(normalize, ell):
-        """The value a build of `builds(rng, normalize)` takes for the
-        lengthscale ell: ell itself (rbf) or its raw parameter (set_conv)."""
-        return ell if normalize else raw_of(ell)
+    def decode_pair(rng, d2):
+        T, G = d2.shape
+        grids = Tensor(rng.standard_normal((2, G, 3)))
+        ys = [rng.standard_normal((T, 2)) for _ in range(2)]
+        weights = [Tensor(rng.standard_normal(shape)) for shape in
+                   [(3, 4), (4,), (4, 2), (2,), (4, 2), (2,)]]
+        return (lambda raw: ad.decode_nll(d2, grids, ys, (raw, *weights),
+                                          1e-4),
+                lambda raw: reference_decode_nll(
+                    composed_rbf(d2, softplus(raw), normalize=True), grids,
+                    ys, weights, 1e-4))
 
     @staticmethod
-    def run_pair(rng, pair, ell_value):
-        """Each build's output and its lengthscale gradient under one random
-        output adjoint."""
+    def smoothers(d2, raw):
+        """`_smoother`'s weights and the composed chain's at the lengthscale
+        softplus(raw)."""
+        ell = np.asarray(ad._softplus(np.float64(raw))[0])
+        return (ad._smoother(d2, ell),
+                composed_rbf(d2, Tensor(ell), normalize=True).data)
+
+    @staticmethod
+    def run_pair(rng, pair, raw_value):
+        """Each build's output and its raw lengthscale gradient under one
+        random output adjoint."""
         values, grads, g = [], [], None
         for build in pair:
-            ell = Tensor(ell_value, requires_grad=True)
-            q = build(ell)
+            raw = Tensor(raw_value, requires_grad=True)
+            q = build(raw)
             if g is None:
                 g = Tensor(rng.standard_normal(q.shape))
-            ell.zero_grad()
+            raw.zero_grad()
             ad.sum_axis(q * g).backward()
             values.append(q.data)
-            grads.append(float(ell.grad))
+            grads.append(float(raw.grad))
         return values, grads
 
     @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("spacings", [0.3, 1.0, 2.5])
     def test_lengthscale_gradient_matches_finite_differences(
             self, rng, normalize, spacings):
-        for fused, _ in self.builds(rng, normalize):
-            ell = Tensor(self.arg(normalize, spacings * self.SPACING),
-                         requires_grad=True)
-            g = Tensor(rng.standard_normal(fused(ell).shape))
-            check_grads(lambda: ad.sum_axis(fused(ell) * g),
-                        [ell], tol=1e-6, h=1e-7 * spacings)
+        for fused, _ in self.builds(rng, self.d2(rng, normalize), normalize):
+            raw = Tensor(raw_of(spacings * self.SPACING), requires_grad=True)
+            g = Tensor(rng.standard_normal(fused(raw).shape))
+            check_grads(lambda: ad.sum_axis(fused(raw) * g),
+                        [raw], tol=1e-6, h=1e-7 * spacings)
 
     @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("spacings", [0.3, 1.0, 2.5])
     def test_fused_equals_composed_chain(self, rng, normalize, spacings):
-        for pair in self.builds(rng, normalize):
-            (fused, composed), grads = self.run_pair(
-                rng, pair, self.arg(normalize, spacings * self.SPACING))
+        raw = raw_of(spacings * self.SPACING)
+        d2 = self.d2(rng, normalize)
+        for pair in self.builds(rng, d2, normalize):
+            (fused, composed), grads = self.run_pair(rng, pair, raw)
             if normalize:
+                fused, composed = self.smoothers(d2, raw)
                 normal = composed >= TINY
                 if spacings == 0.3:  # the flush has entries to act on
                     assert np.any(subnormal(composed))
@@ -521,7 +541,7 @@ class TestRbf:
         y = rng.standard_normal((50, 2))
         # set_conv's weights are the shared helper's, unnormalised
         raw = Tensor(raw_of(ell.data))
-        for out in (ad.rbf(d2, ell).data, ad._gauss(d2, ell.data),
+        for out in (ad._smoother(d2, ell.data), ad._gauss(d2, ell.data),
                     ad.set_conv(d2.T, [y], raw, self.EPS).data):
             assert not np.any(subnormal(out))
 
@@ -536,9 +556,9 @@ class TestRbf:
         # exponents -2, log(tiny) - 0.5 and -3: exp puts the second below
         # tiny, the divide by the row sum e^-2 + e^-3 lifts it to 3.3 tiny
         d2 = np.array([[4.0, -2.0 * (ad._LOG_TINY - 0.5), 6.0]])
-        (fused, composed), grads = self.run_pair(
-            rng, (lambda ell: ad.rbf(d2, ell),
-                  lambda ell: composed_rbf(d2, ell, normalize=True)), 1.0)
+        raw = raw_of(1.0)
+        _, grads = self.run_pair(rng, self.decode_pair(rng, d2), raw)
+        fused, composed = self.smoothers(d2, raw)
         assert TINY <= composed[0, 1] < 4 * TINY
         np.testing.assert_array_equal(fused, composed)
         assert grads[0] == pytest.approx(grads[1], rel=1e-12, abs=0)
@@ -548,7 +568,7 @@ class TestRbf:
         d2, ell = np.array([[1450.0, 1460.0]]), Tensor(1.0)
         composed = composed_rbf(d2, ell, normalize=True).data
         assert np.all(composed >= TINY)
-        np.testing.assert_array_equal(ad.rbf(d2, ell).data, composed)
+        np.testing.assert_array_equal(ad._smoother(d2, ell.data), composed)
 
     def test_set_conv_at_trained_input_lengthscale(self, rng):
         # the [64, N] weights at the ell_in a trained repr_run reaches,
@@ -744,7 +764,7 @@ def test_hypothesis_gradcheck_chain(n, m, seed):
     x = Tensor(r.standard_normal((n, m)), requires_grad=True)
 
     def build():
-        return ad.mean_axis(ad.softplus(x) * ad.exp(x * 0.1))
+        return ad.mean_axis(softplus(x) * ad.exp(x * 0.1))
 
     check_grads(build, [x])
 
@@ -754,5 +774,5 @@ def test_hypothesis_gradcheck_chain(n, m, seed):
 def test_hypothesis_forward_finite(seed):
     r = np.random.default_rng(seed)
     x = Tensor(r.standard_normal((3, 5)) * 5.0)
-    out = ad.softplus(relu(x) - ad.exp(x * -1.0))
+    out = softplus(relu(x) - ad.exp(x * -1.0))
     assert np.all(np.isfinite(out.data))

@@ -12,8 +12,9 @@ from contrnp.model import (DECODER_PARAMS, DENSITY_EPS, CheckpointError,
                            SIGMA_MIN, load_checkpoint, save_checkpoint)
 
 from conftest import (check_grads, composed_rbf, composed_set_conv, conv1d,
-                      flip_byte_in, gaussian_nll, leaf, reference_set_conv,
-                      relu, represent, translate_check)
+                      flip_byte_in, gaussian_nll, leaf, reachable_nodes,
+                      reference_decode_nll, reference_rbf, reference_set_conv,
+                      relu, represent, softplus, translate_check)
 
 
 SMALL = ModelConfig(grid_size=32, cnn_depth=2, cnn_width=8, d_r=6,
@@ -99,7 +100,7 @@ class TestEmbedViews:
         def per_view():
             return ad.stack([
                 reference_set_conv((model.grid_x[:, None] - x[None, :]) ** 2,
-                                   y, ad.softplus(model.params["raw_len_in"]),
+                                   y, softplus(model.params["raw_len_in"]),
                                    DENSITY_EPS)
                 for x, y in zip(xs, ys)])
 
@@ -237,7 +238,7 @@ class TestGradients:
 def composed_embed_context(model, context_x, context_y):
     """`embed_context` op by op: exp of the scaled squared distances, then
     density and normalised signal."""
-    ell = ad.softplus(model.params["raw_len_in"])
+    ell = softplus(model.params["raw_len_in"])
     d2 = (model.grid_x[:, None] - context_x[None, :]) ** 2
     return composed_set_conv(d2, context_y, ell, DENSITY_EPS)
 
@@ -262,14 +263,14 @@ def composed_decode(model, grid_features, target_x):
     smoothed features times dec_w1, bias add and relu, and one product per
     head."""
     p = model.params
-    ell = ad.softplus(p["raw_len_out"])
+    ell = softplus(p["raw_len_out"])
     qn = composed_rbf((target_x[:, None] - model.grid_x[None, :]) ** 2, ell,
                       normalize=True)
     smoothed = qn @ grid_features
     hdn = relu(smoothed @ p["dec_w1"] + p["dec_b1"])
     mu = hdn @ p["dec_mu_w"] + p["dec_mu_b"]
     pre_sigma = hdn @ p["dec_sig_w"] + p["dec_sig_b"]
-    return mu, ad.softplus(pre_sigma) + SIGMA_MIN
+    return mu, softplus(pre_sigma) + SIGMA_MIN
 
 
 def max_rel_err(got, want):
@@ -282,6 +283,11 @@ def max_rel_err(got, want):
 
 def decoder_weights(model):
     return tuple(model.params[name] for name in DECODER_PARAMS)
+
+
+def target_d2(model, target_x):
+    """The squared distances [T, G] of the targets to the model's grid."""
+    return (target_x[:, None] - model.grid_x[None, :]) ** 2
 
 
 class TestComposedOracle:
@@ -345,8 +351,7 @@ class TestComposedOracle:
         ys = [rng.standard_normal((200, n_channels)) for _ in range(n_views)]
         # a different adjoint for each view's NLL
         weights = Tensor(rng.uniform(0.5, 2.0, n_views))
-        leaves = [model.params["raw_len_out"], *decoder_weights(model),
-                  *grids]
+        leaves = [*decoder_weights(model), *grids]
 
         def grads_of(loss):
             for t in leaves:
@@ -354,11 +359,11 @@ class TestComposedOracle:
             loss.backward()
             return [t.grad.copy() for t in leaves]
 
-        qn = model._smoother(tx)
-        nll = ad.decode_nll(qn, ad.stack(grids), ys, decoder_weights(model),
+        d2 = target_d2(model, tx)
+        nll = ad.decode_nll(d2, ad.stack(grids), ys, decoder_weights(model),
                             SIGMA_MIN)
         got_grads = grads_of(ad.sum_axis(nll * weights))
-        mu, sigma, _ = ad._decoder(qn, np.stack([f.data for f in grids]),
+        mu, sigma, _ = ad._decoder(d2, np.stack([f.data for f in grids]),
                                    decoder_weights(model), SIGMA_MIN)
         preds = [composed_decode(model, f, tx) for f in grids]
         want_nll = ad.concat([gaussian_nll(*p, y).reshape(1)
@@ -385,15 +390,14 @@ class TestComposedOracle:
 
         def build():
             return ad.sum_axis(weights * ad.decode_nll(
-                model._smoother(tx), ad.stack(grids), ys,
+                target_d2(model, tx), ad.stack(grids), ys,
                 decoder_weights(model), SIGMA_MIN))
 
-        check_grads(build, [model.params["raw_len_out"],
-                            *decoder_weights(model), *grids])
+        check_grads(build, [*decoder_weights(model), *grids])
 
     def test_decoder_backward_runs_once(self, model, rng):
         tx = np.linspace(0.0, 1.0, 20)
-        nll = ad.decode_nll(model._smoother(tx), ad.stack([leaf(rng, 32, 8)]),
+        nll = ad.decode_nll(target_d2(model, tx), ad.stack([leaf(rng, 32, 8)]),
                             [rng.standard_normal((20, 1))],
                             decoder_weights(model), SIGMA_MIN)
         ad.sum_axis(nll).backward()
@@ -418,15 +422,67 @@ class TestComposedOracle:
         np.testing.assert_array_equal(got.reps, np.asarray(want))
 
 
+class TestDecoderSmoother:
+    """`decode_nll` builds its smoother from the targets' squared distances
+    and raw_len_out. Its NLLs and every gradient are byte for byte those of
+    the chain it replaced: `conftest.reference_rbf` behind a softplus node,
+    scored by `conftest.reference_decode_nll`."""
+
+    # 0.3, 1 and 2.5 grid spacings of 64 nodes
+    @pytest.mark.parametrize("spacings", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("n_views", [1, 3])
+    def test_bitwise_equal_to_smoother_node_chain(self, n_views, spacings):
+        r = np.random.default_rng([n_views, int(spacings * 10)])
+        model = ConvCnpModel(ModelConfig(grid_size=64, n_channels=2), r)
+        # a target midway between two nodes: at 0.3 spacings its exp
+        # weights sum below 1, and its row takes the short-row path
+        tx = np.append(np.sort(r.uniform(0.0, 1.0, 300)),
+                       model.grid_x[20] + model.grid_spacing / 2)
+        d2 = target_d2(model, tx)
+        raw = model.params["raw_len_out"]
+        raw.data = np.asarray(np.log(np.expm1(spacings * model.grid_spacing)))
+        weights = decoder_weights(model)
+        grids = leaf(r, n_views, 64, model.config.cnn_width)
+        ys = [r.standard_normal((len(tx), 2)) for _ in range(n_views)]
+        g = Tensor(r.uniform(0.5, 2.0, n_views))
+        results = []
+        for build in (
+                lambda: ad.decode_nll(d2, grids, ys, weights, SIGMA_MIN),
+                lambda: reference_decode_nll(reference_rbf(d2, softplus(raw)),
+                                             grids, ys, weights[1:],
+                                             SIGMA_MIN)):
+            for t in (grids, *weights):
+                t.zero_grad()
+            nll = build()
+            ad.sum_axis(nll * g).backward()
+            results.append([nll.data.tobytes(),
+                            *(t.grad.tobytes() for t in (grids, *weights))])
+        assert results[0] == results[1]
+        ell = np.asarray(ad._softplus(raw.data)[0])
+        short = ad._gauss(d2, ell).sum(axis=1) < 1.0
+        assert short[-1] == (spacings == 0.3)
+
+    def test_held_prediction_reads_lengthscale_at_call_time(self, model, rng):
+        tx = np.linspace(0.0, 1.0, 40)
+        held = model.predict(*sine_context(rng), tx)
+        before = held.mu_sigma()
+        raw = model.params["raw_len_out"]
+        raw.data = raw.data + 0.5     # as Adam rebinds it
+        fresh = model.decode(held.grid_features, tx)
+        for got, want, old in zip(held.mu_sigma(), fresh.mu_sigma(), before):
+            np.testing.assert_array_equal(got, want)
+            assert not np.array_equal(got, old)
+
+
 def twin(config):
     """A fresh model of `config` with the seed-5 initialisation."""
     return ConvCnpModel(config, np.random.default_rng(5))
 
 
 class TestSharedSmoother:
-    """Views decoded on one target set share one smoother node and one
-    decode-and-score node; sharing gives the per-view decode's values and
-    gradients."""
+    """Views decoded on one target set share one decode-and-score node,
+    which builds their smoother once; sharing gives the per-view decode's
+    values and gradients."""
 
     @staticmethod
     def views(rng, n_channels):
@@ -560,23 +616,13 @@ class TestSharedSmoother:
         ty = fixed_targets(tx)
 
         def build():
-            # two predictions on one smoother, each scored by its own node
+            # two predictions on one target set, each scored by its own
+            # node, which builds its own smoother from the shared distances
             a = model.predict(x1, y1, tx)
-            b = model.predict(x2, y2, tx)._replace(smoother=a.smoother)
+            b = model.predict(x2, y2, tx)._replace(d2=a.d2)
             return nll(a, ty) + nll(b, ty[::-1]) * 0.5
 
         check_grads(build, [model.params["raw_len_out"]], tol=1e-6)
-
-
-def reachable_nodes(*roots) -> int:
-    """Tensors reachable from `roots` through the recorded parents."""
-    seen, stack = set(), list(roots)
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(node._parents)
-    return len(seen)
 
 
 def test_decode_adds_nodes_per_target_set_not_per_view(rng):

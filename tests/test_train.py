@@ -13,7 +13,7 @@ from contrnp.train import (Adam, NumericError, TrainConfig, TrainLog,
                            clip_gradients, train, train_step)
 
 from conftest import (finite_diff_grads, per_view_train_step,
-                      reference_conv, rel_err)
+                      reachable_nodes, reference_conv, rel_err)
 
 # the module: the package's `train` attribute is the function
 train_module = importlib.import_module("contrnp.train")
@@ -237,7 +237,21 @@ class TestBatchedTrainStep:
         grid_features, _ = model.encode_views(views)
         preds = model.decode_views(grid_features, [v.target_x for v in views])
         assert [p.grid_features.shape[0] for p in preds] == [2, 2]
-        assert preds[0].smoother is not preds[1].smoother
+        assert not np.array_equal(preds[0].d2, preds[1].d2)
+
+
+# tape nodes of one step, from the loss: the WAVE shapes (4 conv layers)
+# and TrainConfig's architecture (6), one target set per step
+@pytest.mark.parametrize("shapes, nodes", [(WAVE_SHAPES, 65), ({}, 71)],
+                         ids=["wave", "train_config"])
+def test_train_step_tape_nodes(shapes, nodes):
+    cfg = TrainConfig(**{**shapes, "window_size": 200}, seed=3)
+    segs = synth_generate(4, 2, 200, 0.1, np.random.default_rng(3))
+    model = ConvCnpModel(cfg.model_config(1), np.random.default_rng(3))
+    batch = make_batch(segs, cfg.m, cfg.a, cfg.b, cfg.n_context_range,
+                       np.random.default_rng(4))
+    breakdown = train_step(model, batch, cfg, Adam(model.params))
+    assert reachable_nodes(breakdown.total) == nodes
 
 
 class TestLengthscaleColumns:
