@@ -137,14 +137,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
 
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
@@ -183,29 +177,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_or_broadcast(a, b, "sub")
-    out = a.data - b.data
-    return _make(out, (a, b), lambda g: (
-        _unbroadcast(g, a.shape) if a.requires_grad else None,
-        _unbroadcast(-g, b.shape) if b.requires_grad else None))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_or_broadcast(a, b, "mul")
     out = a.data * b.data
     return _make(out, (a, b), lambda g: (
         _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
         _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_or_broadcast(a, b, "div")
-    out = a.data / b.data
-    return _make(out, (a, b), lambda g: (
-        _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
-        _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        if b.requires_grad else None))
 
 
 def _softplus(x: np.ndarray):
@@ -215,26 +192,6 @@ def _softplus(x: np.ndarray):
     out = np.maximum(x, 0.0) + np.log1p(e)
     sig = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return out, sig
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _make(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
-        raise DomainError(
-            f"log of non-positive input (min={a.data.min():.6g})")
-    out = np.log(a.data)
-    return _make(out, (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    if np.any(a.data < 0):
-        raise DomainError("sqrt of negative input")
-    out = np.sqrt(a.data)
-    return _make(out, (a,), lambda g: (g * 0.5 / out,))
 
 
 # -- reductions & structure ---------------------------------------------------

@@ -38,39 +38,74 @@ class LossBreakdown:
     grad_norm: float | None = None  # set by train_step: the norm before clipping
 
 
+def _log(x: np.ndarray) -> np.ndarray:
+    """np.log(x), refusing a non-positive entry with a DomainError."""
+    if np.any(x <= 0):
+        raise ad.DomainError(
+            f"log of non-positive input (min={x.min():.6g})")
+    return np.log(x)
+
+
 def contrastive_loss(reps: Representation, cfg: ContrastiveConfig) -> Tensor:
     """Contrastive loss over the representations r [K, M, d_r] of K >= 2
     segments x M >= 2 views (as TrainConfig's k_per_batch and m
-    guarantee)."""
+    guarantee), as one node whose only parent is r.
+
+    With the unit rows rn of r [n = K*M, d_r] and s = (rn @ rn^T) / tau,
+    exp_sim is the mean over ordered positive pairs of
+    log(sum of exp(s) over other segments) - s, and literal the sum over
+    them of log(s / sum of s over other segments), which raises
+    DomainError on a non-positive ratio. The forward and
+    backward keep the operation order of the op-by-op chain they replace
+    (`conftest.reference_contrastive_loss`), so the loss and r's adjoint
+    are bitwise the chain's."""
     k_n, m_n, d = reps.r.shape
-    r = reps.r.reshape(k_n * m_n, d)                               # [n, d]
-    zero = np.flatnonzero(np.linalg.norm(r.data, axis=1) == 0.0)
+    n = k_n * m_n
+    r = reps.r.data.reshape(n, d)
+    zero = np.flatnonzero(np.linalg.norm(r, axis=1) == 0.0)
     if zero.size:
         k, m = divmod(int(zero[0]), m_n)
         raise ValueError(
             f"zero-norm representation at segment {k}, view {m}")
-    n = k_n * m_n
-    norms = ad.sqrt(ad.sum_axis(r * r, axis=1, keepdims=True))
-    rn = r / norms
-    sim = rn @ ad.transpose(rn)                                    # [n, n]
-
     seg = np.repeat(np.arange(k_n), m_n)
     neg_mask = (seg[:, None] != seg[None, :]).astype(np.float64)
     pos_mask = ((seg[:, None] == seg[None, :])
                 & ~np.eye(n, dtype=bool)).astype(np.float64)
 
-    scaled = sim * (1.0 / cfg.tau)
+    norms = np.sqrt((r * r).sum(axis=1, keepdims=True))
+    rn = r / norms
+    # contiguous, as the chain's transpose node makes it: BLAS can round a
+    # product over a transposed view differently
+    rn_t = rn.T.copy()
+    scaled = (rn @ rn_t) * (1.0 / cfg.tau)                         # [n, n]
     if cfg.mode == "exp_sim":
-        denom = ad.sum_axis(ad.exp(scaled) * Tensor(neg_mask), axis=1)  # [n]
-        pos_sum = ad.sum_axis(scaled * Tensor(pos_mask), axis=1)        # [n]
-        per_anchor = ad.log(denom) * float(m_n - 1) - pos_sum
-        return ad.sum_axis(per_anchor) * (1.0 / (k_n * m_n * (m_n - 1)))
-    # literal: sum over ordered positive pairs of
-    # log[(sim/tau) / sum_{k'!=k} sim/tau]; raises on non-positive ratios
-    masked = scaled * Tensor(pos_mask) + Tensor(1.0 - pos_mask)
-    pos_logs = ad.sum_axis(ad.log(masked))
-    denom = ad.sum_axis(scaled * Tensor(neg_mask), axis=1)
-    return pos_logs - ad.sum_axis(ad.log(denom)) * float(m_n - 1)
+        ex = np.exp(scaled)
+        denom = (ex * neg_mask).sum(axis=1)                        # [n]
+        pos_sum = (scaled * pos_mask).sum(axis=1)                  # [n]
+        scale = 1.0 / (k_n * m_n * (m_n - 1))
+        loss = (_log(denom) * float(m_n - 1) - pos_sum).sum() * scale
+    else:
+        masked = scaled * pos_mask + (1.0 - pos_mask)
+        pos_logs = _log(masked).sum()
+        denom = (scaled * neg_mask).sum(axis=1)
+        loss = pos_logs - _log(denom).sum() * float(m_n - 1)
+
+    def backward(g):
+        if cfg.mode == "exp_sim":
+            g_loss = g * scale
+            g_scaled = (-g_loss * pos_mask
+                        + (g_loss * float(m_n - 1) / denom)[:, None]
+                        * neg_mask * ex)
+        else:
+            g_scaled = ((-g * float(m_n - 1) / denom)[:, None] * neg_mask
+                        + g / masked * pos_mask)
+        g_sim = g_scaled * (1.0 / cfg.tau)
+        g_rn = g_sim @ rn_t.T + (rn.T @ g_sim).T
+        g_norms = ad._unbroadcast(-g_rn * r / (norms * norms), norms.shape)
+        g_sq = g_norms * 0.5 / norms * r
+        return ((g_rn / norms + g_sq + g_sq).reshape(reps.r.shape),)
+
+    return ad._make(loss, (reps.r,), backward)
 
 
 def _target_array(target_y, shape) -> np.ndarray:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from contrnp import autodiff as ad
-from contrnp.autodiff import Tensor
+from contrnp.autodiff import DomainError, Tensor
 from contrnp.data import DataError, TimeSeries
 from contrnp.evaluate import (PROBE_LR, PROBE_STEPS, EvalError, ProbeModel,
                               stratified_indices)
@@ -362,13 +362,82 @@ def getitem(a, key):
     return ad._make(a.data[key], (a,), backward)
 
 
+# the elementwise ops of the op-by-op oracles and the gradient checks
+
+def exp(a):
+    out = np.exp(a.data)
+    return ad._make(out, (a,), lambda g: (g * out,))
+
+
+def log(a):
+    if np.any(a.data <= 0):
+        raise DomainError(
+            f"log of non-positive input (min={a.data.min():.6g})")
+    return ad._make(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def sqrt(a):
+    if np.any(a.data < 0):
+        raise DomainError("sqrt of negative input")
+    out = np.sqrt(a.data)
+    return ad._make(out, (a,), lambda g: (g * 0.5 / out,))
+
+
+def sub(a, b):
+    """a - b, broadcasting, for Tensors or constants."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    ad._check_same_or_broadcast(a, b, "sub")
+    return ad._make(a.data - b.data, (a, b), lambda g: (
+        ad._unbroadcast(g, a.shape) if a.requires_grad else None,
+        ad._unbroadcast(-g, b.shape) if b.requires_grad else None))
+
+
+def div(a, b):
+    """a / b, broadcasting, for Tensors or constants."""
+    a, b = ad._as_tensor(a), ad._as_tensor(b)
+    ad._check_same_or_broadcast(a, b, "div")
+    return ad._make(a.data / b.data, (a, b), lambda g: (
+        ad._unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+        ad._unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        if b.requires_grad else None))
+
+
+def reference_contrastive_loss(reps, cfg):
+    """`losses.contrastive_loss` as it was before it was one node: the
+    op-by-op chain over r [K, M, d_r], with a reshape node on r and sim's
+    right operand made by a transpose node. The oracle that the node must
+    match byte for byte, loss and r's gradient, in both modes."""
+    k_n, m_n, d = reps.r.shape
+    r = reps.r.reshape(k_n * m_n, d)                               # [n, d]
+    n = k_n * m_n
+    norms = sqrt(ad.sum_axis(r * r, axis=1, keepdims=True))
+    rn = div(r, norms)
+    sim = rn @ ad.transpose(rn)                                    # [n, n]
+
+    seg = np.repeat(np.arange(k_n), m_n)
+    neg_mask = (seg[:, None] != seg[None, :]).astype(np.float64)
+    pos_mask = ((seg[:, None] == seg[None, :])
+                & ~np.eye(n, dtype=bool)).astype(np.float64)
+
+    scaled = sim * (1.0 / cfg.tau)
+    if cfg.mode == "exp_sim":
+        denom = ad.sum_axis(exp(scaled) * Tensor(neg_mask), axis=1)    # [n]
+        pos_sum = ad.sum_axis(scaled * Tensor(pos_mask), axis=1)       # [n]
+        per_anchor = sub(log(denom) * float(m_n - 1), pos_sum)
+        return ad.sum_axis(per_anchor) * (1.0 / (k_n * m_n * (m_n - 1)))
+    masked = scaled * Tensor(pos_mask) + Tensor(1.0 - pos_mask)
+    pos_logs = ad.sum_axis(log(masked))
+    denom = ad.sum_axis(scaled * Tensor(neg_mask), axis=1)
+    return sub(pos_logs, ad.sum_axis(log(denom)) * float(m_n - 1))
+
+
 def gaussian_nll(mu, sigma, y):
     """The mean Gaussian negative log likelihood of targets y under
     per-channel mu and sigma, from elementary ops: the oracle that the
     decode-and-score node `autodiff.decode_nll` is checked against."""
-    diff = mu - y
-    point_nll = (ad.log(sigma) + ad.HALF_LOG_2PI
-                 + diff * diff / (sigma * sigma * 2.0))
+    diff = sub(mu, y)
+    point_nll = (log(sigma) + ad.HALF_LOG_2PI
+                 + div(diff * diff, sigma * sigma * 2.0))
     return ad.mean_axis(point_nll)
 
 
@@ -381,8 +450,8 @@ def composed_rbf(d2, ell, normalize=False):
     """RBF weights from elementary ops: exp of the scaled squared distances,
     then, with `normalize` (as the decoder's `autodiff._smoother`), a row
     sum and a divide."""
-    q = ad.exp(Tensor(d2) * -0.5 / (ell * ell))
-    return q / ad.sum_axis(q, axis=1, keepdims=True) if normalize else q
+    q = exp(div(Tensor(d2) * -0.5, ell * ell))
+    return div(q, ad.sum_axis(q, axis=1, keepdims=True)) if normalize else q
 
 
 def composed_set_conv(d2, y, ell, eps):
@@ -390,7 +459,7 @@ def composed_set_conv(d2, y, ell, eps):
     their row sums as density, and the signal divided by density + eps."""
     w = composed_rbf(d2, ell)
     density = ad.sum_axis(w, axis=1, keepdims=True)
-    signal = (w @ Tensor(y)) / (density + eps)
+    signal = div(w @ Tensor(y), density + eps)
     return ad.concat([density, signal], axis=1)
 
 

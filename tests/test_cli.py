@@ -502,7 +502,8 @@ class TestNumericFailure:
     def test_literal_mode_non_positive_ratio_exits_3(self, tmp_path, capsys):
         # with d_r = 1 every representation is a scalar, so cosine
         # similarities are +-1 and this seed draws a batch whose literal
-        # ratio is non-positive: log() raises autodiff.DomainError
+        # ratio is non-positive: the contrastive loss raises
+        # autodiff.DomainError
         data = tmp_path / "data.csv"
         assert main(["synth", "--classes", "4", "--segments", "2",
                      "--window", "64", "--noise", "0.05", "--seed", "0",

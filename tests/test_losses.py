@@ -7,7 +7,8 @@ from contrnp.autodiff import DomainError, ShapeMismatchError, Tensor
 from contrnp.losses import ContrastiveConfig, combined_loss, contrastive_loss
 from contrnp.model import ConvCnpModel, ModelConfig, Representation
 
-from conftest import check_grads, gaussian_nll, leaf
+from conftest import (check_grads, gaussian_nll, leaf,
+                      reference_contrastive_loss)
 
 
 def brute_force_contrastive(vectors, tau):
@@ -119,10 +120,79 @@ class TestContrastiveLoss:
                         (cos(vecs[k][m], vecs[k][mp]) / tau) / den)
         assert out.item() == pytest.approx(expected, abs=1e-10)
 
-    def test_gradients_pass_finite_differences(self, rng):
-        reps = Representation(leaf(rng, 3, 2, 4))
-        check_grads(lambda: contrastive_loss(reps, ContrastiveConfig(tau=0.5)),
+    @pytest.mark.parametrize("mode", ["exp_sim", "literal"])
+    def test_gradients_pass_finite_differences(self, rng, mode):
+        r = leaf(rng, 3, 2, 4)
+        if mode == "literal":   # positive similarities: every log is defined
+            r.data = np.abs(r.data) + 0.1
+        reps = Representation(r)
+        check_grads(lambda: contrastive_loss(
+                        reps, ContrastiveConfig(tau=0.5, mode=mode)),
                     [reps.r])
+
+
+class TestContrastiveNode:
+    """`contrastive_loss` is one node on r. Its loss and r's gradient are
+    byte for byte those of the op-by-op chain it replaced,
+    `conftest.reference_contrastive_loss`."""
+
+    @staticmethod
+    def vectors(k, m, tau, mode):
+        # d_r = 20: at these K * M, OpenBLAS rounds some products over the
+        # transposed view of a matrix differently from the same products
+        # over its contiguous transpose, so a change of layout shows
+        r = np.random.default_rng([k, m, int(tau * 10)])
+        v = r.standard_normal((k, m, 20))
+        # literal mode takes logs of similarity ratios: keep them positive
+        return np.abs(v) + 0.1 if mode == "literal" else v
+
+    @staticmethod
+    def run(loss_fn, values, form, cfg):
+        """The loss bytes and the gradient bytes of the tensor behind r,
+        where r is a leaf, a reshape of a leaf, or frozen."""
+        if form == "reshaped":
+            base = Tensor(values.reshape(len(values), -1), requires_grad=True)
+            r = base.reshape(*values.shape)
+        else:
+            base = r = Tensor(values, requires_grad=form == "leaf")
+        loss = loss_fn(Representation(r), cfg)
+        if form == "frozen":
+            assert not loss.requires_grad and loss._parents == ()
+            return loss.data.tobytes(), None
+        base.zero_grad()
+        loss.backward()
+        return loss.data.tobytes(), base.grad.tobytes()
+
+    @pytest.mark.parametrize("form", ["leaf", "reshaped", "frozen"])
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("k,m", [(2, 2), (3, 3), (8, 2)])
+    @pytest.mark.parametrize("mode", ["exp_sim", "literal"])
+    def test_bitwise_equal_to_op_by_op_chain(self, mode, k, m, tau, form):
+        values = self.vectors(k, m, tau, mode)
+        cfg = ContrastiveConfig(tau=tau, mode=mode)
+        got = self.run(contrastive_loss, values, form, cfg)
+        want = self.run(reference_contrastive_loss, values, form, cfg)
+        assert got == want
+
+    def test_one_node_on_r(self, rng):
+        r = leaf(rng, 3, 2, 4)
+        loss = contrastive_loss(Representation(r), ContrastiveConfig())
+        assert loss._parents == (r,)
+
+    @pytest.mark.parametrize("negative", ["ratio", "denominator"])
+    def test_literal_non_positive_log_raises_chain_error(self, negative):
+        # two segments of two views; u and -u make a negative similarity
+        u, w = np.array([1.0, 0.0]), np.array([0.6, 0.8])
+        vecs = ([[u, -u], [w, w]] if negative == "ratio"
+                else [[u, u], [-u, -u]])
+        cfg = ContrastiveConfig(mode="literal")
+        messages = []
+        for fn in (contrastive_loss, reference_contrastive_loss):
+            with pytest.raises(DomainError,
+                               match="log of non-positive input") as e:
+                fn(rep_tensors(vecs), cfg)
+            messages.append(str(e.value))
+        assert messages[0] == messages[1]
 
 
 @settings(max_examples=40, deadline=None)
