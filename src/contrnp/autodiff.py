@@ -372,8 +372,8 @@ def _aligned_empty(shape) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _im2col_arrays(B: int, C: int, L: int, W: int):
     """The arrays `_conv` writes for inputs [B, C, L] and kernel width W:
-    a zero-padded input xp[B, C, L + W - 1], a window view [C, W, B, L] of
-    xp, the columns [C, W, B, L] with their [C*W, B*L] view, and the
+    a zero-padded input xp[B, C, L + W - 1], a window view [B, C, W, L] of
+    xp, the columns [B, C, W, L] with their [B, C*W, L] view, and the
     backward's col2im buffer [B, C*W, L + W], which shares the columns'
     memory: the backward is done with the columns before it writes the
     buffer. One set per layer shape, which every call on that shape
@@ -390,16 +390,16 @@ def _im2col_arrays(B: int, C: int, L: int, W: int):
     xp.fill(0.0)
     s0, s1, s2 = xp.strides
     # a direct view: much cheaper per call than as_strided
-    windows = np.ndarray((C, W, B, L), xp.dtype, xp, 0, (s1, s2, s0, s2))
+    windows = np.ndarray((B, C, W, L), xp.dtype, xp, 0, (s0, s1, s2, s2))
     skew = _aligned_empty((B, C * W, L + W))
-    cols = skew.reshape(-1)[:C * W * B * L].reshape(C, W, B, L)
-    return xp, windows, cols, cols.reshape(C * W, B * L), skew
+    cols = skew.reshape(-1)[:B * C * W * L].reshape(B, C, W, L)
+    return xp, windows, cols, cols.reshape(B, C * W, L), skew
 
 
 def _im2col(x: np.ndarray, W: int) -> np.ndarray:
-    """Columns [C*W, B*L] of x[B,C,L] zero-padded by (W - 1) / 2 on each
-    side to xp: row c*W + w holds xp[b, c, w:w + L] for b = 0..B-1 in turn,
-    matching kernel.reshape(C_out, C*W). They are overwritten by the next
+    """Columns [B, C*W, L] of x[B,C,L] zero-padded by (W - 1) / 2 on each
+    side to xp: row c*W + w of entry b holds xp[b, c, w:w + L], matching
+    kernel.reshape(C_out, C*W). They are overwritten by the next
     call on the same shape, so they must not outlive the caller's use."""
     xp, windows, cols, columns, _ = _im2col_arrays(*x.shape, W)
     pad = (W - 1) // 2
@@ -413,13 +413,12 @@ def _conv(x: Tensor, kernel: Tensor):
     zero-padded by (W - 1) / 2 on each side so the output keeps length L.
 
     Lowered to matrix products (im2col): the output is the stacked
-    product kernel[C_out, C*W] @ columns[B, C*W, L], the columns being a
-    [B, C*W, L] view of `_im2col`'s [C*W, B*L]. numpy computes a stack one
-    GEMM per matrix, on the shapes and operands of that batch entry alone,
-    so a batched forward is bitwise equal to B forwards of one: only the
-    columns' row stride differs, which leaves the sums as they are. It
-    does not leave the speed: at these sizes OpenBLAS reads the columns
-    unpacked, so `_im2col_arrays` starts them on a cache line.
+    product kernel[C_out, C*W] @ columns[B, C*W, L] (`_im2col`), each
+    entry's columns one contiguous matrix. numpy computes a stack one GEMM
+    per matrix, on the shapes and operands of that batch entry alone, so a
+    batched forward is bitwise equal to B forwards of one. At these sizes
+    OpenBLAS reads the columns unpacked, so `_im2col_arrays` starts them
+    on a cache line.
     Returns the output array and the backward that maps its adjoint to
     (gx, gkernel); the backward rebuilds the columns from x rather than
     keeping them alive.
@@ -446,10 +445,10 @@ def _conv(x: Tensor, kernel: Tensor):
     pad = (W - 1) // 2
 
     k2 = kernel.data.reshape(C_out, C * W)
-    out = k2 @ _im2col(x.data, W).reshape(C * W, B, L).transpose(1, 0, 2)
+    out = k2 @ _im2col(x.data, W)
 
     def backward(g):
-        columns = _im2col(x.data, W).reshape(C * W, B, L).transpose(1, 0, 2)
+        columns = _im2col(x.data, W)
         gk = _sum_last_first(B, lambda b: g[b] @ columns[b].T)
         skew = _im2col_arrays(B, C, L, W)[4]
         skew[:, :, L:] = 0.0

@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 data or path error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import dataclasses
 import hashlib
@@ -25,7 +24,8 @@ import numpy as np
 
 from .autodiff import DomainError, ShapeMismatchError
 from .data import (DataError, load_csv, sample_views, segmentize,
-                   segments_to_series, synth_generate, write_csv)
+                   segments_to_series, synth_generate, write_csv,
+                   write_table)
 from .evaluate import (EvalError, davies_bouldin, evaluate_split, extract,
                        silhouette)
 from .model import CheckpointError, load_checkpoint, save_checkpoint
@@ -226,12 +226,11 @@ def cmd_eval(args):
     dbi = davies_bouldin(encoded)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "metrics.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["metric", "value", "seed"])
-        for name, value in [("accuracy", acc), ("auprc", ap),
-                            ("silhouette", sil), ("davies_bouldin", dbi)]:
-            w.writerow([name, repr(value), args.seed])
+    write_table(out / "metrics.csv", ["metric", "value", "seed"],
+                [[name, repr(value), args.seed]
+                 for name, value in [("accuracy", acc), ("auprc", ap),
+                                     ("silhouette", sil),
+                                     ("davies_bouldin", dbi)]])
     write_manifest(out, "eval",
                    {"checkpoint": str(args.checkpoint), "data": str(args.data),
                     "label_fraction": args.label_fraction},
@@ -249,11 +248,8 @@ def cmd_sweep_labels(args):
         rng = np.random.default_rng(args.seed)
         acc, ap = evaluate_split(encoded, frac, rng)
         rows.append((frac, acc, ap))
-    with open(out / "label_sweep.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["fraction", "accuracy", "auprc"])
-        for frac, acc, ap in rows:
-            w.writerow([frac, repr(acc), repr(ap)])
+    write_table(out / "label_sweep.csv", ["fraction", "accuracy", "auprc"],
+                [[frac, repr(acc), repr(ap)] for frac, acc, ap in rows])
     write_manifest(out, "sweep-labels",
                    {"checkpoint": str(args.checkpoint), "data": str(args.data),
                     "fractions": args.fractions},
@@ -280,19 +276,11 @@ def cmd_forecast(args):
     if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
         raise NumericError(
             f"segment {args.segment_id}: non-finite prediction")
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        n_ch = mu.shape[1]
-        header = ["x"]
-        for c in range(n_ch):
-            header += [f"y_true{c}", f"mu{c}", f"sigma{c}"]
-        w.writerow(header)
-        for i, x in enumerate(view.target_x):
-            row = [repr(float(x))]
-            for c in range(n_ch):
-                row += [repr(float(view.target_y[i, c])),
-                        repr(float(mu[i, c])), repr(float(sigma[i, c]))]
-            w.writerow(row)
+    header = ["x"] + [f"{name}{c}" for c in range(mu.shape[1])
+                      for name in ("y_true", "mu", "sigma")]
+    values = np.stack([view.target_y, mu, sigma], axis=2).reshape(len(mu), -1)
+    write_table(out, header, ([repr(x), *map(repr, row)] for x, row in
+                              zip(view.target_x.tolist(), values.tolist())))
     write_manifest(out.parent, "forecast",
                    {"checkpoint": str(args.checkpoint), "data": str(args.data),
                     "segment_id": args.segment_id,

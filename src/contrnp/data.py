@@ -95,8 +95,8 @@ def sample_views(segment: Segment, m: int, a: float, b: float,
         n_ctx = int(rng.integers(lo, hi + 1))
         idx = np.sort(rng.choice(eligible, size=n_ctx, replace=False))
         views.append(ViewPair(
-            context_x=segment.x[idx].copy(),
-            context_y=segment.y[idx].copy(),
+            context_x=segment.x[idx],
+            context_y=segment.y[idx],
             target_x=segment.x.copy(),
             target_y=segment.y.copy(),
         ))
@@ -170,6 +170,15 @@ def segments_to_series(segments: list[Segment]) -> TimeSeries:
 
 # -- CSV I/O -------------------------------------------------------------------
 
+def write_table(path, header, rows):
+    """Write a header and rows as CSV in csv's default dialect, whose lines
+    end in CRLF: the one writer of every table the program outputs."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_csv(series: TimeSeries, path):
     """Write `time,ch0,...,chN[,label]`, each float as its shortest repr."""
     header = ["time"] + [f"ch{c}" for c in range(series.n_channels)]
@@ -178,10 +187,7 @@ def write_csv(series: TimeSeries, path):
     if series.labels is not None:
         header.append("label")
         columns.append(series.labels.tolist())
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(zip(*columns))
+    write_table(path, header, zip(*columns))
 
 
 def load_csv(path) -> TimeSeries:

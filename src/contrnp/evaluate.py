@@ -27,6 +27,14 @@ class EncodedDataset:
     labels: np.ndarray   # [N]
 
 
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """The row softmax of logits z [N, n_classes], written over z."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
+
+
 @dataclass
 class ProbeModel:
     weights: np.ndarray  # [d_r, n_classes]
@@ -34,10 +42,7 @@ class ProbeModel:
     classes: np.ndarray
 
     def scores(self, reps: np.ndarray) -> np.ndarray:
-        z = reps @ self.weights + self.bias
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        return _softmax(reps @ self.weights + self.bias)
 
     def predict(self, reps: np.ndarray) -> np.ndarray:
         return self.classes[np.argmax(self.scores(reps), axis=1)]
@@ -119,10 +124,7 @@ def train_probe(encoded: EncodedDataset, label_fraction: float,
     onehot = np.eye(nc)[yt]
     best = (-1.0, wb.data.copy())
     for t in range(1, PROBE_STEPS + 1):
-        z = xt @ wb.data[:d] + wb.data[d]
-        z -= z.max(axis=1, keepdims=True)
-        p = np.exp(z)
-        p /= p.sum(axis=1, keepdims=True)
+        p = _softmax(xt @ wb.data[:d] + wb.data[d])
         g = (p - onehot) / len(yt)
         np.matmul(xt.T, g, out=wb.grad[:d])
         np.sum(g, axis=0, out=wb.grad[d])

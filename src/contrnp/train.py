@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .autodiff import Tensor
-from .data import DataError, Segment, make_batch
+from .data import DataError, Segment, make_batch, write_table
 from .losses import ContrastiveConfig, combined_loss
 from .model import (ArchConfig, ConvCnpModel, ModelConfig, Representation,
                     require)
@@ -89,14 +88,12 @@ class TrainLog:
         self.lengthscales.append((ell_in, ell_out))
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["step", "nll", "contrastive", "total", "wall_ms",
-                        "grad_norm", "clipped", "ell_in", "ell_out"])
-            for rec, ells in zip(self.records, self.lengthscales):
-                w.writerow([rec[0], repr(rec[1]), repr(rec[2]), repr(rec[3]),
-                            f"{rec[4]:.1f}", repr(rec[5]), int(rec[6]),
-                            *map(repr, ells)])
+        write_table(path, ["step", "nll", "contrastive", "total", "wall_ms",
+                           "grad_norm", "clipped", "ell_in", "ell_out"],
+                    ([rec[0], repr(rec[1]), repr(rec[2]), repr(rec[3]),
+                      f"{rec[4]:.1f}", repr(rec[5]), int(rec[6]),
+                      *map(repr, ells)]
+                     for rec, ells in zip(self.records, self.lengthscales)))
 
 
 class Adam:

@@ -118,6 +118,14 @@ def read_csv(path):
         return list(csv.reader(f))
 
 
+def assert_crlf_table(path, header):
+    """The table starts with the header line `header` and ends every line
+    in csv's default `\r\n`, as `data.write_table` writes it."""
+    data = Path(path).read_bytes()
+    assert data.startswith(header.encode() + b"\r\n")
+    assert data.count(b"\n") == data.count(b"\r\n")
+
+
 def run_fresh(argv, **env):
     """Exit code, stdout and stderr of the CLI on `argv` in a fresh
     interpreter, with `env` added to the environment. numpy's
@@ -176,6 +184,7 @@ class TestSynth:
         rows = read_csv(out)
         assert rows[0] == ["time", "ch0", "label"]
         assert len(rows) - 1 == 4 * 50 * 20
+        assert_crlf_table(out, "time,ch0,label")
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -193,6 +202,9 @@ class TestTrain:
         assert rows[0] == ["step", "nll", "contrastive", "total", "wall_ms",
                            "grad_norm", "clipped", "ell_in", "ell_out"]
         assert len(rows) > 1
+        assert_crlf_table(trained / "train_log.csv",
+                          "step,nll,contrastive,total,wall_ms,grad_norm,"
+                          "clipped,ell_in,ell_out")
         assert (trained / "manifest_train.json").exists()
 
     def test_missing_data_file(self, tmp_path, config):
@@ -286,6 +298,7 @@ class TestEval:
         assert rows[0] == ["metric", "value", "seed"]
         assert [r[0] for r in rows[1:]] == ["accuracy", "auprc", "silhouette",
                                             "davies_bouldin"]
+        assert_crlf_table(out / "metrics.csv", "metric,value,seed")
 
     def test_manifests_record_numerics_environment(self, tmp_path, dataset,
                                                     trained):
@@ -435,6 +448,8 @@ class TestSweepLabels:
         rows = read_csv(out / "label_sweep.csv")
         assert rows[0] == ["fraction", "accuracy", "auprc"]
         assert [float(r[0]) for r in rows[1:]] == [0.5, 0.8]
+        assert_crlf_table(out / "label_sweep.csv",
+                          "fraction,accuracy,auprc")
 
 
 class TestForecast:
@@ -448,6 +463,7 @@ class TestForecast:
         assert rows[0] == ["x", "y_true0", "mu0", "sigma0"]
         sigma = np.array([float(r[3]) for r in rows[1:]])
         assert np.all(sigma > 0)
+        assert_crlf_table(out, "x,y_true0,mu0,sigma0")
 
     # raw_len_out = nan once exited 0 and wrote 64 rows of NaN
     def test_non_finite_parameter_is_refused(self, tmp_path, dataset, trained,
@@ -953,3 +969,20 @@ def test_channel_count_must_match_checkpoint(fuzz_dir, fuzz_run,
     assert run_main(argv) == (2, [
         f"error: {other}: {3 - model_channels} channel(s), but checkpoint "
         f"{run / 'model.ckpt'} was trained on {model_channels}"])
+
+
+def test_two_channel_forecast_columns(tmp_path, two_channel_run):
+    """Each channel's truth, mean and scale sit side by side, channel by
+    channel: ch1 is a copy of ch0, so its truth column equals ch0's."""
+    data, run = two_channel_run
+    out = tmp_path / "fc.csv"
+    assert run_main(["forecast", "--checkpoint", run / "model.ckpt",
+                     "--data", data, "--n-context", "8",
+                     "--out", out]) == (0, [])
+    rows = read_csv(out)
+    assert rows[0] == ["x", "y_true0", "mu0", "sigma0",
+                       "y_true1", "mu1", "sigma1"]
+    values = np.array(rows[1:], dtype=float)
+    np.testing.assert_array_equal(values[:, 1], values[:, 4])
+    assert np.all(values[:, [3, 6]] > 0)
+    assert_crlf_table(out, ",".join(rows[0]))

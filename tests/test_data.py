@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from contrnp.data import (DataError, TimeSeries, _number, load_csv,
                           make_batch, sample_views, segmentize,
-                          segments_to_series, synth_generate, write_csv)
+                          segments_to_series, synth_generate, write_csv,
+                          write_table)
 
 from conftest import reference_load_csv, reference_write_csv
 
@@ -138,6 +139,14 @@ class TestCsv:
         np.testing.assert_array_equal(loaded.x, series.x)
         np.testing.assert_allclose(loaded.y, z, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(loaded.labels, series.labels)
+
+    def test_write_table_bytes(self, tmp_path):
+        # csv's default dialect: `\r\n` line ends, fields as given
+        path = tmp_path / "t.csv"
+        write_table(path, ["name", "value", "n"],
+                    iter([["a", repr(0.1), 3], ["b", repr(1 / 3), -2]]))
+        assert path.read_bytes() == (b"name,value,n\r\na,0.1,3\r\n"
+                                     b"b,0.3333333333333333,-2\r\n")
 
     def test_byte_order_mark_is_skipped(self, tmp_path, rng):
         # spreadsheet exports start the file with a UTF-8 byte-order mark
